@@ -2,15 +2,18 @@
 
 Every benchmark regenerates one table or figure of the paper: it computes
 the rows/series, prints them straight to the terminal (bypassing pytest's
-capture so they land in ``bench_output.txt``), and archives them under
-``benchmarks/results/`` for EXPERIMENTS.md.
+capture so they land in ``bench_output.txt``), and writes them under the
+gitignored ``benchmarks/out/``.  No test writes a tracked file:
+``benchmarks/run_all.py`` copies a bench file's tables into
+``benchmarks/results/`` (the copies EXPERIMENTS.md cites) only when every
+test in that file passed.
 """
 
 from __future__ import annotations
 
 import json
 import subprocess
-import sys
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -18,7 +21,7 @@ from repro.cluster import paper_testbed
 from repro.core import coarsen
 from repro.graph import trim_auxiliary
 
-RESULTS_DIR = Path(__file__).parent / "results"
+OUT_DIR = Path(__file__).parent / "out"
 REPO_ROOT = Path(__file__).parent.parent
 
 #: Artifacts emitted during this session, printed by the terminal-summary
@@ -27,10 +30,10 @@ EMITTED: list = []
 
 
 def emit(name: str, text: str) -> None:
-    """Archive a regenerated artifact and queue it for the session summary."""
+    """Write a regenerated artifact and queue it for the session summary."""
     EMITTED.append((name, text))
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    OUT_DIR.mkdir(exist_ok=True)
+    (OUT_DIR / f"{name}.txt").write_text(text + "\n")
 
 
 def git_sha() -> str:
@@ -53,8 +56,8 @@ def bench_metadata(engine: str = "columnar") -> dict:
     """Provenance stamped into every ``BENCH_*.json``.
 
     A bench number without its SHA, tier and timestamp cannot be compared
-    to anything later; the regression gate reads records wrapped with this
-    meta block.
+    to anything later, so every record list is wrapped with this meta
+    block.
     """
     return {
         "git_sha": git_sha(),
@@ -66,17 +69,39 @@ def bench_metadata(engine: str = "columnar") -> dict:
 def emit_bench_json(
     name: str, records: list, engine: str = "columnar"
 ) -> None:
-    """Write ``BENCH_<name>.json`` at the repo root.
+    """Write ``benchmarks/out/BENCH_<name>.json``.
 
     The machine-readable companion to :func:`emit`: a ``meta`` block
     (git SHA, engine tier, ISO-8601 timestamp — see :func:`bench_metadata`)
     over the record list.  Each record carries a ``model``, the wall-clocks
     in seconds, and derived ratios, so external tooling can track the
-    hot-path numbers without parsing the archived tables.
+    hot-path numbers without parsing the tables.  The gates themselves
+    are the asserts in each bench, not this file.
     """
-    path = REPO_ROOT / f"BENCH_{name}.json"
+    OUT_DIR.mkdir(exist_ok=True)
+    path = OUT_DIR / f"BENCH_{name}.json"
     doc = {"meta": bench_metadata(engine), "records": records}
     path.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+#: A bench's peak tracked memory may exceed its pinned value by this
+#: factor.  Tracemalloc counts allocations, not resident pages, so host
+#: load does not move it; the slack absorbs allocator and cache-state
+#: differences between a whole-suite run and a single bench file.
+PEAK_SLACK = 1.5
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak tracked memory (MB) of one ``fn()`` call.
+
+    Measured outside every timing window: tracemalloc slows allocation.
+    """
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def nodes_for(graph):

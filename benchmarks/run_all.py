@@ -7,12 +7,11 @@ artifact EXPERIMENTS.md cites:
 
     PYTHONPATH=src python benchmarks/run_all.py [-k pattern]
 
-``--update-baselines`` additionally normalises the ``BENCH_*.json``
-files the run produced and refreshes ``benchmarks/baselines/`` — the
-metrics ``repro bench compare`` gates CI against.  To avoid silently
-clobbering baseline edits you have not committed yet, the refresh
-refuses to start while ``benchmarks/baselines/`` is dirty unless
-``--force`` is given.
+Benches write their tables and ``BENCH_*.json`` records to the gitignored
+``benchmarks/out/``.  A bench file's tables are copied into
+``benchmarks/results/`` only when every test in that file passed, so a
+failing run never replaces a committed table with numbers its own asserts
+rejected.
 
 Exit status is non-zero if any benchmark fails.
 """
@@ -20,7 +19,8 @@ Exit status is non-zero if any benchmark fails.
 from __future__ import annotations
 
 import argparse
-import json
+import os
+import shutil
 import subprocess
 import sys
 import time
@@ -28,29 +28,28 @@ from pathlib import Path
 
 BENCH_DIR = Path(__file__).parent
 REPO_ROOT = BENCH_DIR.parent
+OUT_DIR = BENCH_DIR / "out"
+RESULTS_DIR = BENCH_DIR / "results"
 
 
 def discover() -> list:
     return sorted(BENCH_DIR.glob("test_*.py"))
 
 
-def dirty_baselines() -> list:
-    """Uncommitted changes under ``benchmarks/baselines/``, as porcelain lines.
+def _stamps() -> dict:
+    """``{table file name: mtime_ns}`` of every table under ``OUT_DIR``."""
+    return {p.name: p.stat().st_mtime_ns for p in OUT_DIR.glob("*.txt")}
 
-    Outside a git checkout (or without git on PATH) there is nothing to
-    clobber-check against, so the answer is "clean".
-    """
-    try:
-        proc = subprocess.run(
-            ["git", "status", "--porcelain", "--", "benchmarks/baselines/"],
-            cwd=REPO_ROOT, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            text=True,
-        )
-    except OSError:
-        return []
-    if proc.returncode != 0:
-        return []
-    return [line for line in proc.stdout.splitlines() if line.strip()]
+
+def publish(before: dict) -> list:
+    """Copy the tables written since the *before* snapshot into
+    ``RESULTS_DIR``; returns the copied file names."""
+    fresh = sorted(name for name, stamp in _stamps().items()
+                   if before.get(name) != stamp)
+    RESULTS_DIR.mkdir(exist_ok=True)
+    for name in fresh:
+        shutil.copyfile(OUT_DIR / name, RESULTS_DIR / name)
+    return fresh
 
 
 def main(argv=None) -> int:
@@ -58,24 +57,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "-k", default="", help="only run benchmark files whose name contains this"
     )
-    parser.add_argument(
-        "--update-baselines", action="store_true",
-        help="refresh benchmarks/baselines/ from this run's BENCH_*.json",
-    )
-    parser.add_argument(
-        "--force", action="store_true",
-        help="allow --update-baselines to overwrite uncommitted baseline edits",
-    )
     args = parser.parse_args(argv)
-
-    if args.update_baselines and not args.force:
-        dirty = dirty_baselines()
-        if dirty:
-            print("refusing --update-baselines: benchmarks/baselines/ has "
-                  "uncommitted changes (commit or stash them, or pass --force):")
-            for line in dirty:
-                print(f"  {line}")
-            return 2
 
     files = [f for f in discover() if args.k in f.name]
     if not files:
@@ -84,17 +66,16 @@ def main(argv=None) -> int:
 
     env_path = f"{REPO_ROOT / 'src'}"
     results = []
+    refreshed = []
     total0 = time.perf_counter()
     for f in files:
+        before = _stamps()
         t0 = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              f.name],
             cwd=BENCH_DIR,
-            env={
-                **__import__("os").environ,
-                "PYTHONPATH": f"{env_path}:{BENCH_DIR}",
-            },
+            env={**os.environ, "PYTHONPATH": f"{env_path}:{BENCH_DIR}"},
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
@@ -103,7 +84,9 @@ def main(argv=None) -> int:
         ok = proc.returncode == 0
         results.append((f.name, dt, ok))
         print(f"{'ok  ' if ok else 'FAIL'}  {f.name:42s}  {dt:7.1f}s")
-        if not ok:
+        if ok:
+            refreshed += publish(before)
+        else:
             print(proc.stdout)
     total = time.perf_counter() - total0
 
@@ -116,28 +99,11 @@ def main(argv=None) -> int:
     print(f"{'-' * width}  {'-' * 8}  ------")
     failed = [name for name, _, ok in results if not ok]
     print(f"{len(results) - len(failed)}/{len(results)} benchmarks passed "
-          f"in {total:.1f}s; results refreshed under benchmarks/results/")
+          f"in {total:.1f}s; {len(refreshed)} table(s) refreshed under "
+          f"benchmarks/results/")
     if failed:
-        print("failed:", ", ".join(failed))
+        print("failed (results/ left as committed):", ", ".join(failed))
         return 1
-    if args.update_baselines:
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-        from repro.obs import regress
-
-        metrics = regress.load_bench_files(REPO_ROOT)
-        if not metrics:
-            print("no BENCH_*.json files at the repo root; nothing to record")
-            return 1
-        written = regress.write_baselines(
-            regress.split_by_suite(metrics), BENCH_DIR / "baselines"
-        )
-        print(f"baselines refreshed: {', '.join(str(p) for p in written)}")
-        for path in sorted(REPO_ROOT.glob("BENCH_*.json")):
-            doc = json.loads(path.read_text())
-            meta = doc.get("meta", {}) if isinstance(doc, dict) else {}
-            print(f"  {path.name}: sha={meta.get('git_sha', '?')} "
-                  f"engine={meta.get('engine', '?')} "
-                  f"created={meta.get('created', '?')}")
     return 0
 
 

@@ -4,10 +4,12 @@
 the development loop: the whole pipeline (index ~100 modules, build the
 call graph, propagate purity, run the lockset pass) has a hard 5-second
 budget on the repo tree.  This benchmark times the three stages
-separately, asserts the budget, and emits ``BENCH_analyze.json`` so the
-regression gate catches superlinear creep as the tree grows — the call
-graph is the quadratic risk (name dispatch × methods), and a silent
-10× there would otherwise surface as "CI got slow" months later.
+separately, reports them (table and ``BENCH_analyze.json``) and gates
+the full pipeline on that budget, so superlinear creep as the tree grows
+fails here — the call graph is the quadratic risk (name dispatch ×
+methods), and a silent 10× there would otherwise surface as "CI got
+slow" months later.  The stage walls are sub-parts of the budgeted
+pipeline and are reported, not gated separately.
 """
 
 import time

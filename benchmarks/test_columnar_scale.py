@@ -5,57 +5,76 @@ head, a 48-layer MoE) push the search onto graphs where a per-candidate
 Python walk over the nodes dominates.  This bench times the columnar
 array-batched core on each, warm (one untimed derivation, then min of
 several repeats — the sweep regime the columnar compile-once design
-amortises), and archives wall time plus peak tracked memory in
+amortises), and writes wall time plus peak tracked memory to
 ``BENCH_columnar.json``.  On the two presets whose reference sweep fits a
-bench budget (resnet_300k, moe_deep) the reference loop is timed in the
-same run: selection must be bit-identical and the columnar ``speedup``
-over it clears a floor.
+bench budget (resnet_300k, moe_deep) the reference loop is timed once in
+the same run, over the caches the columnar warm-up filled: selection must
+be bit-identical and the columnar ``speedup`` over it clears a floor.
+The 96-layer stack's oracle is instead the same columnar search on a
+24-layer T5, timed in the same run: pruning keeps the search flat in
+depth, so four times the layers may cost at most ``MAX_DEPTH_GROWTH``
+times the wall.
+
+The bench gates itself: the speed-up floor stands in for the walls,
+the work counters (nodes, candidates, bound-skipped) are pinned exactly,
+and peak tracked memory is held to ``PEAK_SLACK`` times a pinned value.
 """
 
 import time
-import tracemalloc
 
 import pytest
 
 from repro.core import derive_plan
-from repro.models import build_preset
+from repro.models import build_preset, t5_with_depth
 from repro.viz import format_table
 
-from common import emit, emit_bench_json, nodes_for, mesh_16w
+from common import (
+    PEAK_SLACK, emit, emit_bench_json, mesh_16w, nodes_for, traced_peak_mb,
+)
 
 #: preset -> whether the reference oracle is timed on it as well (the
 #: 96-layer stack's reference sweep is too slow for a per-push bench)
 MODELS = (("t5_96l", False), ("resnet_300k", True), ("moe_deep", True))
 
-#: Timed repeats per tier (after one untimed warm-up derivation).
+#: Timed columnar repeats (after one untimed warm-up derivation).
 REPEATS = 3
 
 #: Floor on columnar vs. reference wall clock on the presets where the
-#: oracle is timed (resnet_300k typically lands ~10x, moe_deep ~40x).
-#: Conservative so the assertion stays robust under machine load.
-MIN_COLUMNAR_SPEEDUP = 3.0
+#: oracle is timed: about half the lowest ratio seen on a loaded 2-vCPU
+#: host (ten runs beside a busy core: resnet_300k 9.3x-14x, moe_deep
+#: 36x-45x; whole-suite runs down to 8.6x on resnet_300k).
+MIN_COLUMNAR_SPEEDUP = {"resnet_300k": 4.0, "moe_deep": 15.0}
+
+#: Deterministic work of one derivation, pinned exactly:
+#: (coarsened nodes, candidates examined, candidates the bound skipped).
+COUNTERS = {
+    "t5_96l": (2792, 2927, 2591),
+    "resnet_300k": (74, 289, 72),
+    "moe_deep": (629, 983, 381),
+}
+
+#: Peak tracked memory (MB) of one warm columnar derivation.
+PEAK_MB = {"t5_96l": 1.989, "resnet_300k": 0.058, "moe_deep": 1.047}
+
+#: t5_96l's columnar wall against the same search on a DEPTH_BASE-layer
+#: T5 (loaded runs measured 1.4x-3.4x).
+DEPTH_BASE = 24
+MAX_DEPTH_GROWTH = 5.0
 
 
-def time_tier(ng, mesh, tier):
-    """Warm up once, then return (best wall_s, last result)."""
-    derive_plan(ng, mesh, engine=tier)
-    best = float("inf")
-    result = None
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        result = derive_plan(ng, mesh, engine=tier)
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+def _timed(ng, mesh, tier):
+    t0 = time.perf_counter()
+    result = derive_plan(ng, mesh, engine=tier)
+    return time.perf_counter() - t0, result
 
 
-def peak_mem_mb(ng, mesh):
-    """Peak tracked memory of one warm columnar derivation (outside the
-    timing windows — tracemalloc slows allocation)."""
-    tracemalloc.start()
+def _warm_min(ng, mesh):
+    """Warm up once, then the best of REPEATS columnar derivations."""
     derive_plan(ng, mesh)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    return peak / 2**20
+    return min(
+        (_timed(ng, mesh, "columnar") for _ in range(REPEATS)),
+        key=lambda timed: timed[0],
+    )
 
 
 def sweep():
@@ -63,25 +82,29 @@ def sweep():
     rows = []
     for label, with_reference in MODELS:
         ng = nodes_for(build_preset(label))
-        tiers = ("reference", "columnar") if with_reference else ("columnar",)
         timings, results = {}, {}
-        for tier in tiers:
-            timings[tier], results[tier] = time_tier(ng, mesh, tier)
+        timings["columnar"], results["columnar"] = _warm_min(ng, mesh)
+        if with_reference:
+            timings["reference"], results["reference"] = _timed(
+                ng, mesh, "reference")
         rows.append(
             {
                 "model": label,
                 "nodes": len(ng),
                 "wall": timings,
                 "results": results,
-                "peak_mb": peak_mem_mb(ng, mesh),
+                "peak_mb": traced_peak_mb(lambda: derive_plan(ng, mesh)),
             }
         )
-    return rows
+    base_s, _ = _warm_min(nodes_for(t5_with_depth(DEPTH_BASE)), mesh)
+    return rows, base_s
 
 
 @pytest.mark.slow
 def test_columnar_scale_speedup(run_once):
-    rows = run_once(sweep)
+    rows, base_s = run_once(sweep)
+    t5 = next(r for r in rows if r["model"] == "t5_96l")
+    depth_growth = t5["wall"]["columnar"] / base_s
     table = format_table(
         ["model", "nodes", "reference (s)", "columnar (s)", "speed-up",
          "candidates", "bound-skipped"],
@@ -99,10 +122,11 @@ def test_columnar_scale_speedup(run_once):
             ]
             for r in rows
         ],
-        title="columnar search core at scale, warm min-of-%d (mesh 2x8)"
-              % REPEATS,
+        title="columnar search core at scale, warm columnar min-of-%d vs. "
+              "one reference run (mesh 2x8)" % REPEATS,
     )
-    emit("columnar_scale", table)
+    emit("columnar_scale", table + f"\nt5_96l columnar vs. {DEPTH_BASE}-layer "
+         f"T5 ({base_s:.3f} s): {depth_growth:.2f}x")
     records = []
     for r in rows:
         col = r["results"]["columnar"]
@@ -125,12 +149,19 @@ def test_columnar_scale_speedup(run_once):
         }
         if "reference" in r["wall"]:
             rec["speedup"] = r["wall"]["reference"] / r["wall"]["columnar"]
+        if r is t5:
+            rec["depth_growth"] = depth_growth
         records.append(rec)
     emit_bench_json("columnar", records, engine="columnar")
 
+    assert depth_growth <= MAX_DEPTH_GROWTH, depth_growth
     for r in rows:
         col = r["results"]["columnar"]
-        assert col.bound_skipped > 0, r["model"]
+        # the work is deterministic: the bound skips exactly as many
+        assert (r["nodes"], col.candidates_examined, col.bound_skipped) == \
+            COUNTERS[r["model"]], r["model"]
+        assert r["peak_mb"] <= PEAK_SLACK * PEAK_MB[r["model"]], (
+            r["model"], r["peak_mb"])
         if "reference" not in r["wall"]:
             continue
         ref = r["results"]["reference"]
@@ -141,4 +172,5 @@ def test_columnar_scale_speedup(run_once):
         assert col.candidates_examined == ref.candidates_examined, r["model"]
         # batched pricing clears the floor over the per-candidate oracle
         speedup = r["wall"]["reference"] / r["wall"]["columnar"]
-        assert speedup >= MIN_COLUMNAR_SPEEDUP, (r["model"], speedup)
+        assert speedup >= MIN_COLUMNAR_SPEEDUP[r["model"]], (
+            r["model"], speedup)

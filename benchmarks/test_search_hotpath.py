@@ -7,15 +7,21 @@ tiers: the reference route-everything loop and the columnar array-batched
 core.  The columnar tier must be pure: selected plan, cost and candidate
 count are asserted identical to the reference path.
 
-Timing is *warm*: one untimed derivation per tier populates the prune /
-block / skeleton caches, then the tier is timed as the min of several
-repeats.  That is the representative regime — sweeps and ablations derive
-many plans over one graph — and it is what the columnar tier's
-compile-once design amortises.  Every tier is measured identically.
+Timing is *warm*: one untimed columnar derivation populates the prune /
+block / skeleton caches both tiers share, then the columnar tier is timed
+as the min of several repeats and the reference oracle once, over the
+same warm caches.  That is the representative regime — sweeps and
+ablations derive many plans over one graph — and it is what the columnar
+tier's compile-once design amortises.  The oracle runs tens of times
+longer than the fast path, so one window of it is already stable.
+
+The bench gates itself: the speed-up floor stands in for the walls (which
+are reported, not gated), the deterministic work counters are pinned
+exactly, and the columnar peak tracked memory is held to ``PEAK_SLACK``
+times a pinned value.
 """
 
 import time
-import tracemalloc
 
 import pytest
 
@@ -23,7 +29,9 @@ from repro.core import CostConfig, derive_plan
 from repro.models import resnet_with_classes, t5_with_depth
 from repro.viz import format_table
 
-from common import emit, emit_bench_json, nodes_for, mesh_16w
+from common import (
+    PEAK_SLACK, emit, emit_bench_json, mesh_16w, nodes_for, traced_peak_mb,
+)
 
 MODELS = (
     ("t5-24L", lambda: t5_with_depth(24), None),
@@ -33,35 +41,27 @@ MODELS = (
 
 TIERS = ("reference", "columnar")
 
-#: Timed repeats per tier (after one untimed warm-up derivation).
+#: Timed columnar repeats (after one untimed warm-up derivation).
 REPEATS = 3
 
-#: Floor on columnar vs. reference wall clock.  The columnar tier lands
-#: far above this (10x-100x); the floor is conservative so the assertion
-#: stays robust under machine load.
-MIN_SPEEDUP = 3.0
+#: Floor on columnar vs. reference wall clock, per model: about half the
+#: lowest ratio seen on a loaded 2-vCPU host (ten runs beside a busy
+#: core: t5-24L 58x-105x, resnet-100K 9.8x-15x; whole-suite runs down to
+#: 7.3x on resnet-100K), so load alone does not trip it.
+MIN_SPEEDUP = {"t5-24L": 25.0, "resnet-100K": 3.5}
+
+#: Deterministic work of one derivation, pinned exactly:
+#: (candidates examined, candidates the bound skipped).
+COUNTERS = {"t5-24L": (2927, 2591), "resnet-100K": (289, 72)}
+
+#: Peak tracked memory (MB) of one warm columnar derivation.
+PEAK_MB = {"t5-24L": 1.965, "resnet-100K": 0.058}
 
 
-def time_tier(ng, mesh, cfg, tier):
-    """Warm up once, then return (best wall_s, last result)."""
-    derive_plan(ng, mesh, cost_config=cfg, engine=tier)
-    best = float("inf")
-    result = None
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        result = derive_plan(ng, mesh, cost_config=cfg, engine=tier)
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-def peak_mem_mb(ng, mesh, cfg, tier):
-    """Peak tracked memory of one warm derivation, measured outside the
-    timing windows (tracemalloc slows allocation)."""
-    tracemalloc.start()
-    derive_plan(ng, mesh, cost_config=cfg, engine=tier)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    return peak / 2**20
+def _timed(ng, mesh, cfg, tier):
+    t0 = time.perf_counter()
+    result = derive_plan(ng, mesh, cost_config=cfg, engine=tier)
+    return time.perf_counter() - t0, result
 
 
 def sweep():
@@ -69,16 +69,20 @@ def sweep():
     rows = []
     for label, build, cfg in MODELS:
         ng = nodes_for(build())
-        timings = {}
-        results = {}
-        for tier in TIERS:
-            timings[tier], results[tier] = time_tier(ng, mesh, cfg, tier)
+        derive_plan(ng, mesh, cost_config=cfg)  # warm the shared caches
+        col_s, col = min(
+            (_timed(ng, mesh, cfg, "columnar") for _ in range(REPEATS)),
+            key=lambda timed: timed[0],
+        )
+        ref_s, ref = _timed(ng, mesh, cfg, "reference")
         rows.append(
             {
                 "model": label,
-                "wall": timings,
-                "results": results,
-                "peak_mb": peak_mem_mb(ng, mesh, cfg, "columnar"),
+                "wall": {"reference": ref_s, "columnar": col_s},
+                "results": {"reference": ref, "columnar": col},
+                "peak_mb": traced_peak_mb(
+                    lambda: derive_plan(ng, mesh, cost_config=cfg)
+                ),
             }
         )
     return rows
@@ -100,8 +104,8 @@ def test_search_hotpath_tier_speedups(run_once):
             ]
             for r in rows
         ],
-        title="search hot path: evaluation tiers, warm min-of-%d (mesh 2x8)"
-              % REPEATS,
+        title="search hot path: evaluation tiers, warm columnar min-of-%d "
+              "vs. one reference run (mesh 2x8)" % REPEATS,
     )
     emit("search_hotpath", table)
 
@@ -133,8 +137,11 @@ def test_search_hotpath_tier_speedups(run_once):
         assert res.plan.tp_degree == ref.plan.tp_degree, r["model"]
         assert res.cost == ref.cost, r["model"]
         assert res.candidates_examined == ref.candidates_examined, r["model"]
+        # the work is deterministic: the bound skips exactly as many
+        assert (res.candidates_examined, res.bound_skipped) == \
+            COUNTERS[r["model"]], r["model"]
         # and the whole point: it is much faster
         speedup = r["wall"]["reference"] / r["wall"]["columnar"]
-        assert speedup >= MIN_SPEEDUP, (r["model"], speedup)
-        # the bound is what skips most of the sweep
-        assert res.bound_skipped > 0
+        assert speedup >= MIN_SPEEDUP[r["model"]], (r["model"], speedup)
+        assert r["peak_mb"] <= PEAK_SLACK * PEAK_MB[r["model"]], (
+            r["model"], r["peak_mb"])

@@ -12,11 +12,17 @@ reference calls — the what-if/`POST /simulate` shape.
 
 The fast path must be a pure accelerator: profiles and the complete
 engine task logs (names, starts, durations — every bit) are asserted
-identical to the reference before any timing is trusted.
+identical to the reference before any timing is trusted.  Each columnar
+path is timed as the min of several windows; the reference oracle,
+several to hundreds of times slower, is timed in one window.
+
+The bench gates itself: the speed-up floors stand in for the walls
+(which are reported, not gated), the tape compiler's work counters
+(nodes, segments, nodes replayed, plans batched) are pinned exactly, and
+peak tracked memory is held to ``PEAK_SLACK`` times a pinned value.
 """
 
 import time
-import tracemalloc
 
 import pytest
 
@@ -25,7 +31,9 @@ from repro.core import CostConfig, DEFAULT_REGISTRY, derive_plan, route_plan
 from repro.models import build_preset, resnet_with_classes, t5_with_depth
 from repro.viz import format_table
 
-from common import emit, emit_bench_json, nodes_for, mesh_16w
+from common import (
+    PEAK_SLACK, emit, emit_bench_json, mesh_16w, nodes_for, traced_peak_mb,
+)
 
 MODELS = (
     ("t5-48L", lambda: t5_with_depth(48), None),
@@ -40,14 +48,19 @@ LARGE_MODELS = (
     ("moe-deep", "moe_deep"),
 )
 
-#: Floor on warm reference vs. columnar wall clock on the deep-stack
-#: preset the columnar tier targets (t5-96L lands in the hundreds warm).
-#: The other presets are only held to "not slower than the oracle".
-MIN_COLUMNAR_SPEEDUP = 8.0
+#: Every floor below sits at about half the lowest ratio seen on a
+#: loaded 2-vCPU host (ten runs beside a busy core, whole-suite runs and
+#: earlier committed snapshots), so load alone does not trip it.
+
+#: Floor on warm reference vs. columnar wall clock per large preset
+#: (loaded: t5-96L 218x-390x, resnet-300K 9.7x-20x with 9.1x seen in a
+#: whole-suite run, moe-deep 83x-132x with 72x seen before).
+MIN_COLUMNAR_SPEEDUP = {"t5-96L": 100.0, "resnet-300K": 4.0,
+                        "moe-deep": 35.0}
 
 #: Floor on N sequential warm reference calls vs. one `simulate_batch`
-#: of the same N plans (lands in the hundreds).
-MIN_BATCH_SPEEDUP = 3.0
+#: of the same N plans (loaded: 123x-247x).
+MIN_BATCH_SPEEDUP = 60.0
 
 #: Simulation rounds per path — the repeated-pricing pattern of the
 #: figure sweeps.  The columnar timing includes its cold compile (the
@@ -59,10 +72,25 @@ ROUNDS = 30
 #: rounds keep it inside a bench budget.
 BATCH_ROUNDS = 5
 
-#: Floor on reference vs. columnar wall clock, cold compile included.
-#: Conservative so the assertion stays robust under machine load — the
-#: regression gate tracks the real value.
-MIN_SPEEDUP = 3.5
+#: Floor on reference vs. columnar wall clock, cold compile included
+#: (loaded: t5-48L 34x-50x with 25x seen before, resnet-100K 5.9x-10x).
+MIN_SPEEDUP = {"t5-48L": 12.0, "resnet-100K": 3.5}
+
+#: Deterministic tape-compiler work, pinned exactly:
+#: (routed nodes, replay segments, nodes replayed) for the cold sweep ...
+COUNTERS = {"t5-48L": (1400, 2, 1363), "resnet-100K": (74, 5, 33)}
+#: ... and (routed nodes, replay segments) for the warm large-zoo sweep.
+LARGE_COUNTERS = {
+    "t5-96L": (2792, 4), "resnet-300K": (74, 5), "moe-deep": (629, 1),
+}
+#: Named baseline plans priced by the batched what-if.
+BATCH_PLANS = 4
+
+#: Peak tracked memory (MB) of one cold columnar compile + simulate.
+PEAK_MB = {
+    "t5-48L": 0.790, "resnet-100K": 0.0351,
+    "t5-96L": 2.197, "resnet-300K": 0.0339, "moe-deep": 0.456,
+}
 
 
 def _logs(prof):
@@ -99,7 +127,8 @@ def _time_warm(routed, mesh, cfg, tier):
 
 
 def _assert_parity(label, routed, mesh, cfg):
-    """Both tiers must agree bit-for-bit before timing is trusted."""
+    """Both tiers must agree bit-for-bit before timing is trusted;
+    returns the columnar profile."""
     from repro.simulator import simulate_iteration
 
     ref = simulate_iteration(routed, mesh, cfg, engine="reference")
@@ -107,6 +136,15 @@ def _assert_parity(label, routed, mesh, cfg):
     col = simulate_iteration(routed, mesh, cfg, engine="columnar")
     assert col.as_dict() == ref.as_dict(), label
     assert _logs(col) == _logs(ref), label
+    return col
+
+
+def _cold_peak_mb(routed, mesh, cfg):
+    """Peak tracked memory of one cold columnar compile + simulate."""
+    from repro.simulator import simulate_iteration
+
+    routed._sim_cache.clear()
+    return traced_peak_mb(lambda: simulate_iteration(routed, mesh, cfg))
 
 
 def large_sweep():
@@ -118,22 +156,11 @@ def large_sweep():
         ng = nodes_for(build_preset(preset))
         plan = NAMED_PLANS["megatron"](ng, mesh.gpus_per_node)
         routed = route_plan(ng, plan, DEFAULT_REGISTRY)
-        _assert_parity(label, routed, mesh, cfg)
+        prof = _assert_parity(label, routed, mesh, cfg)
 
-        t_ref = min(_time_warm(routed, mesh, cfg, "reference")
-                    for _ in range(3))
+        t_ref = _time_warm(routed, mesh, cfg, "reference")
         t_col = min(_time_warm(routed, mesh, cfg, "columnar")
                     for _ in range(3))
-
-        # peak tracked memory of one cold columnar compile + simulate,
-        # outside the timing windows
-        from repro.simulator import simulate_iteration
-
-        routed._sim_cache.clear()
-        tracemalloc.start()
-        prof = simulate_iteration(routed, mesh, cfg, engine="columnar")
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
 
         rows.append(
             {
@@ -144,7 +171,7 @@ def large_sweep():
                 "columnar_s": t_col,
                 "speedup": t_ref / t_col,
                 "segments": prof.segments_detected,
-                "peak_mem_mb": peak / 2**20,
+                "peak_mem_mb": _cold_peak_mb(routed, mesh, cfg),
             }
         )
     return rows
@@ -182,7 +209,7 @@ def batch_sweep():
             simulate_batch(routed_plans, mesh, cfg)
         return time.perf_counter() - t0
 
-    t_seq = min(seq() for _ in range(3))
+    t_seq = seq()
     t_batch = min(batched() for _ in range(3))
     return {
         "model": "batch-t5-96L",
@@ -210,30 +237,19 @@ def sweep():
         assert col_prof.as_dict() == ref_prof.as_dict(), label
         assert _logs(col_prof) == _logs(ref_prof), label
 
-        # best of three timing windows per path — scheduler noise only
-        # ever inflates a window, so the min is the honest number
-        t_ref = min(_time_rounds(routed, mesh, cfg, "reference")
-                    for _ in range(3))
+        # best of three columnar windows — scheduler noise only ever
+        # inflates a window, so the min is the honest number; the
+        # oracle's one window is several times longer and already stable
+        t_ref = _time_rounds(routed, mesh, cfg, "reference")
         t_col = min(_time_rounds(routed, mesh, cfg, "columnar")
                     for _ in range(3))
-        if t_ref / t_col < MIN_SPEEDUP:
-            # transient load can still inflate all three windows of one
-            # path; one re-measure separates a busy box from a real
-            # regression
-            t_ref = min(t_ref,
-                        *(_time_rounds(routed, mesh, cfg, "reference")
-                          for _ in range(3)))
+        if t_ref / t_col < MIN_SPEEDUP[label]:
+            # transient load can still inflate every window of one path;
+            # one re-measure separates a busy box from a real regression
+            t_ref = min(t_ref, _time_rounds(routed, mesh, cfg, "reference"))
             t_col = min(t_col,
                         *(_time_rounds(routed, mesh, cfg, "columnar")
                           for _ in range(3)))
-
-        # peak tracked memory of one cold columnar simulation (compile +
-        # run), measured outside the timing windows
-        routed._sim_cache.clear()
-        tracemalloc.start()
-        simulate_iteration(routed, mesh, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
 
         rows.append(
             {
@@ -243,14 +259,14 @@ def sweep():
                 "col_seconds": t_col,
                 "segments": col_prof.segments_detected,
                 "replayed": col_prof.nodes_replayed,
-                "peak_mem_mb": peak / 2**20,
+                "peak_mem_mb": _cold_peak_mb(routed, mesh, cfg),
             }
         )
     return rows
 
 
 #: Sweeps are shared between the two tests; the columnar test emits the
-#: combined BENCH_sim.json, so records never vanish from the gate.
+#: combined BENCH_sim.json, so it always holds every record.
 _CACHE = {}
 
 
@@ -307,7 +323,12 @@ def test_sim_hotpath_replay_speedup(run_once):
         assert r["replayed"] > r["nodes"] // 3, r["model"]
         # and the whole point: pricing once, replaying often is faster
         speedup = r["ref_seconds"] / r["col_seconds"]
-        assert speedup >= MIN_SPEEDUP, (r["model"], speedup)
+        assert speedup >= MIN_SPEEDUP[r["model"]], (r["model"], speedup)
+        # the compiled tape is deterministic, node for node
+        assert (r["nodes"], r["segments"], r["replayed"]) == \
+            COUNTERS[r["model"]], r["model"]
+        assert r["peak_mem_mb"] <= PEAK_SLACK * PEAK_MB[r["model"]], (
+            r["model"], r["peak_mem_mb"])
 
 
 @pytest.mark.slow
@@ -349,11 +370,11 @@ def test_sim_columnar_zoo_and_batch(run_once):
         engine="columnar",
     )
 
-    by_model = {r["model"]: r for r in zoo}
-    # acceptance floor on the preset the columnar tier targets
-    t5 = by_model["t5-96L"]
-    assert t5["speedup"] >= MIN_COLUMNAR_SPEEDUP, t5
-    # every preset must at least not be slower than the oracle, warm
     for r in zoo:
-        assert r["speedup"] >= 1.0, (r["model"], r["speedup"])
+        assert r["speedup"] >= MIN_COLUMNAR_SPEEDUP[r["model"]], (
+            r["model"], r["speedup"])
+        assert (r["nodes"], r["segments"]) == LARGE_COUNTERS[r["model"]], r
+        assert r["peak_mem_mb"] <= PEAK_SLACK * PEAK_MB[r["model"]], (
+            r["model"], r["peak_mem_mb"])
+    assert batch["plans"] == BATCH_PLANS, batch
     assert batch["batch_speedup"] >= MIN_BATCH_SPEEDUP, batch

@@ -23,10 +23,6 @@ Commands
     collective legality, packing) without simulating; ``verify lint``
     runs the AST rules guarding the memoization layers over the source
     tree.  Both exit non-zero on findings.
-``bench``
-    ``bench compare`` diffs the ``BENCH_*.json`` files of a benchmark
-    run against recorded baselines and exits non-zero when a metric
-    regressed past its threshold — the CI benchmark gate.
 ``serve``
     Run the planner daemon: answers plan requests over HTTP from a
     persistent fingerprinted cache, executing misses on a process-pool
@@ -505,28 +501,6 @@ def cmd_cache_clear(args) -> int:
     return 0
 
 
-def cmd_bench_compare(args) -> int:
-    from .obs import regress
-
-    try:
-        baseline = regress.load_baselines(args.baseline)
-    except FileNotFoundError as exc:
-        print(f"bench compare: {exc}")
-        return 2
-    current = regress.load_bench_files(args.current)
-    overrides = regress.load_thresholds(args.baseline)
-    result = regress.compare(
-        current, baseline,
-        default_threshold=args.threshold,
-        overrides=overrides,
-    )
-    table = regress.format_delta_table(result)
-    print(table)
-    if args.report:
-        Path(args.report).write_text(table + "\n")
-    return 0 if result.ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="TAP/TAPAS automatic tensor parallelism"
@@ -668,22 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--cache-dir", default=None)
     c.set_defaults(func=cmd_cache_clear)
 
-    p = sub.add_parser("bench", help="benchmark utilities")
-    bsub = p.add_subparsers(dest="bench_command", required=True)
-    b = bsub.add_parser(
-        "compare",
-        help="gate BENCH_*.json files against recorded baselines",
-    )
-    b.add_argument("--baseline", default="benchmarks/baselines",
-                   help="directory of recorded baseline metrics")
-    b.add_argument("--current", default=".",
-                   help="directory holding this run's BENCH_*.json files")
-    b.add_argument("--threshold", type=float, default=0.20,
-                   help="default relative regression threshold "
-                        "(per-metric overrides come from thresholds.json)")
-    b.add_argument("--report", metavar="FILE",
-                   help="also write the delta table to this file")
-    b.set_defaults(func=cmd_bench_compare)
     return parser
 
 

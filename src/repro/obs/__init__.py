@@ -1,9 +1,9 @@
-"""Observability for the planner pipeline: spans, metrics, sinks, gate.
+"""Observability for the planner pipeline: spans, metrics, sinks.
 
 Zero-dependency instrumentation threaded through prune → enumerate →
-route → price → rewrite → simulate, plus the benchmark regression
-harness CI consumes.  Everything is off-cost while disabled; see
-DESIGN.md → "Observability" for the span taxonomy and overhead budget.
+route → price → rewrite → simulate.  Everything is off-cost while
+disabled; see DESIGN.md → "Observability" for the span taxonomy and
+overhead budget.
 """
 
 from . import metrics, trace

@@ -161,60 +161,3 @@ class TestVerify:
     def test_simulate_no_verify(self, capsys):
         assert main(["simulate", "bert_large", "--plan", "dp",
                      "--mesh", "1x2", "--no-verify"]) == 0
-
-
-class TestBenchCompare:
-    def _seed(self, tmp_path, current_speedup=20.0):
-        baseline_dir = tmp_path / "baselines"
-        baseline_dir.mkdir()
-        (baseline_dir / "search.json").write_text(
-            '{"search/t5/speedup": 20.0}'
-        )
-        current_dir = tmp_path / "run"
-        current_dir.mkdir()
-        (current_dir / "BENCH_search.json").write_text(
-            f'{{"meta": {{}}, "records": '
-            f'[{{"model": "t5", "speedup": {current_speedup}}}]}}'
-        )
-        return baseline_dir, current_dir
-
-    def test_pass_exits_zero(self, capsys, tmp_path):
-        baseline, current = self._seed(tmp_path)
-        assert main(["bench", "compare", "--baseline", str(baseline),
-                     "--current", str(current)]) == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_regression_exits_nonzero_with_delta_table(self, capsys, tmp_path):
-        baseline, current = self._seed(tmp_path, current_speedup=5.0)
-        assert main(["bench", "compare", "--baseline", str(baseline),
-                     "--current", str(current)]) == 1
-        out = capsys.readouterr().out
-        assert "search/t5/speedup" in out
-        assert "REGRESSED" in out and "FAIL" in out
-
-    def test_threshold_flag(self, tmp_path, capsys):
-        baseline, current = self._seed(tmp_path, current_speedup=17.0)
-        assert main(["bench", "compare", "--baseline", str(baseline),
-                     "--current", str(current), "--threshold", "0.1"]) == 1
-        capsys.readouterr()
-        assert main(["bench", "compare", "--baseline", str(baseline),
-                     "--current", str(current), "--threshold", "0.5"]) == 0
-
-    def test_missing_baseline_dir_exits_two(self, capsys, tmp_path):
-        assert main(["bench", "compare",
-                     "--baseline", str(tmp_path / "nope"),
-                     "--current", str(tmp_path)]) == 2
-        assert "does not exist" in capsys.readouterr().out
-
-    def test_report_file(self, capsys, tmp_path):
-        baseline, current = self._seed(tmp_path)
-        report = tmp_path / "deltas.txt"
-        assert main(["bench", "compare", "--baseline", str(baseline),
-                     "--current", str(current),
-                     "--report", str(report)]) == 0
-        assert "PASS" in report.read_text()
-
-    def test_repo_gate_passes(self, capsys):
-        # the committed BENCH files against the committed baselines —
-        # exactly what CI's bench-gate job runs
-        assert main(["bench", "compare"]) == 0

@@ -39,3 +39,15 @@ def test_gitignore_covers_bytecode():
     rules = gitignore.read_text().splitlines()
     assert "__pycache__/" in rules
     assert "*.pyc" in rules
+
+
+def test_bench_output_dir_is_ignored():
+    # benches write every table and BENCH_*.json under benchmarks/out/,
+    # so a test run never dirties the tree
+    if _tracked_files() is None:
+        return
+    proc = subprocess.run(
+        ["git", "check-ignore", "-q", "benchmarks/out/x"],
+        cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0, "benchmarks/out/ is not gitignored"
