@@ -52,8 +52,8 @@ from .core import (
     DEFAULT_REGISTRY,
     RoutingError,
     coarsen,
-    derive_plan,
     load_plan,
+    plan_request,
     rewrite_graph,
     route_plan,
     save_plan,
@@ -179,7 +179,7 @@ def _run_remote_plan(args) -> int:
     print(f"cost: {reply['cost'] * 1e3:.2f} ms (communication objective)")
     print(f"round trip: {reply['latency_seconds'] * 1e3:.2f} ms service-side")
     if args.output:
-        env = envelope_from_json(json.dumps(reply["envelope"]), verify=False)
+        env = envelope_from_json(json.dumps(reply["envelope"]))
         save_plan(env.routed.plan, args.output)
         print(f"plan saved to {args.output}")
     return 0
@@ -207,9 +207,8 @@ def cmd_plan(args) -> int:
 
 
 def _run_plan(args, trimmed, trim_record, ng, mesh, cfg, chrome) -> int:
-    result = derive_plan(
-        ng, mesh,
-        cost_config=cfg,
+    result = plan_request(
+        ng, mesh, cfg,
         min_duplicate=args.min_duplicate,
         engine=args.engine,
         zero_stage=args.zero,
@@ -354,7 +353,7 @@ def cmd_verify_plan(args) -> int:
     cfg = CostConfig(batch_tokens=args.batch_tokens)
 
     if args.plan is None:
-        plan = derive_plan(ng, mesh, cost_config=cfg).plan
+        plan = plan_request(ng, mesh, cfg).plan
         source = "derived"
     elif args.plan in NAMED_PLANS:
         plan = NAMED_PLANS[args.plan](ng, args.tp)
@@ -445,13 +444,13 @@ def cmd_serve(args) -> int:
         workers=None if args.inline else args.workers,
         lru_capacity=args.lru_capacity,
         queue_limit=args.queue_limit,
-        preload=not args.no_preload,
     )
     host, port = server.address
     stats = server.service.stats()
     mode = "inline" if args.inline else f"{stats['workers']} worker process(es)"
     print(f"planner service on http://{host}:{port}")
-    print(f"cache: {cache_dir} ({stats['preloaded']} plans preloaded; {mode})")
+    print(f"cache: {cache_dir} ({stats['cache']['disk_entries']} plans on disk; "
+          f"{mode})")
     print("endpoints: POST /plan  POST /simulate  GET /stats  GET /health  "
           "POST /shutdown")
     try:
@@ -473,7 +472,9 @@ def cmd_cache_stats(args) -> int:
     cache_dir, cache = _open_cache(args)
     rows = []
     for key, _path in cache.disk_entries():
-        env, _ = cache.get(key)  # structural load; corrupt blobs quarantine
+        # structural load (no graph to verify against); corrupt blobs
+        # are quarantined
+        env, _ = cache.get(key, None)
         if env is None:
             continue
         rows.append([
@@ -629,8 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-limit", type=_positive_int, default=32,
                    help="max distinct searches in flight before "
                         "fast-failing with 429")
-    p.add_argument("--no-preload", action="store_true",
-                   help="skip warm-restarting the LRU from the disk cache")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("cache", help="plan cache utilities")

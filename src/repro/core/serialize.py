@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from ..graph import TensorSpec
 from .graphnode import NodeGraph
@@ -370,8 +370,112 @@ def load_routed(
 
 
 # ---------------------------------------------------------------------------
-# plan-cache envelopes
+# cache envelopes: one header shared by every kind, a payload per kind
 # ---------------------------------------------------------------------------
+
+class _EnvelopeKind(NamedTuple):
+    kind: str        # the document's ``kind`` field
+    version: int     # the envelope version this library reads and writes
+    label: str       # how load errors name the kind
+
+
+_PLAN_ENVELOPE = _EnvelopeKind(
+    "repro.plan_cache_entry", CACHE_ENVELOPE_VERSION, "plan-cache"
+)
+_SIM_ENVELOPE = _EnvelopeKind(
+    "repro.sim_cache_entry", SIM_ENVELOPE_VERSION, "simulation-cache"
+)
+
+#: fingerprints every envelope must carry, each a full SHA-256 hex digest
+_REQUIRED_FINGERPRINTS = ("graph", "mesh", "config")
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def _envelope_header_doc(
+    spec: _EnvelopeKind,
+    key: str,
+    fingerprints: Dict[str, str],
+    engine: str,
+    timings: Dict[str, float],
+    created: str,
+) -> Dict:
+    """The header fields every envelope kind writes."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "envelope": spec.version,
+        "kind": spec.kind,
+        "key": key,
+        "fingerprints": dict(fingerprints),
+        "engine": engine,
+        "timings": dict(timings),
+        "created": created,
+    }
+
+
+def _envelope_header(
+    text: str, spec: _EnvelopeKind, expected_key: Optional[str]
+) -> Tuple[Dict, Dict]:
+    """Decode *text* and check the header every envelope kind shares.
+
+    Checks the kind, the schema and envelope versions, a non-empty key
+    (equal to ``expected_key`` when given: a blob filed under the wrong
+    name is rejected rather than served), the graph/mesh/config
+    fingerprints (present, each a 64-hex digest) and numeric timings.
+    Returns the decoded document, for the kind's payload, and the header
+    fields as keyword arguments for :class:`CacheEnvelope` /
+    :class:`SimEnvelope`.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise PlanLoadError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("kind") != spec.kind:
+        raise PlanLoadError(f"document is not a {spec.label} envelope")
+    if doc.get("schema") != SCHEMA_VERSION:
+        raise PlanLoadError(
+            f"unsupported schema version {doc.get('schema')!r} "
+            f"(this library reads version {SCHEMA_VERSION})"
+        )
+    if doc.get("envelope") != spec.version:
+        raise PlanLoadError(
+            f"unsupported envelope version {doc.get('envelope')!r} "
+            f"(this library reads {spec.label} version {spec.version})"
+        )
+    key = doc.get("key")
+    if not isinstance(key, str) or not key:
+        raise PlanLoadError("envelope carries no cache key")
+    if expected_key is not None and key != expected_key:
+        raise PlanLoadError(
+            f"envelope key {key!r} does not match its slot {expected_key!r}"
+        )
+    fingerprints = doc.get("fingerprints")
+    if not isinstance(fingerprints, dict) or not all(
+        isinstance(k, str) and isinstance(v, str)
+        for k, v in fingerprints.items()
+    ):
+        raise PlanLoadError("envelope fingerprints must map names to digests")
+    for name in _REQUIRED_FINGERPRINTS:
+        digest = fingerprints.get(name, "")
+        if len(digest) != 64 or not _HEX_DIGITS.issuperset(digest):
+            raise PlanLoadError(
+                f"envelope fingerprint {name!r} is missing or not a "
+                "64-hex digest"
+            )
+    timings = doc.get("timings")
+    if not isinstance(timings, dict):
+        raise PlanLoadError("envelope timings must be a mapping")
+    try:
+        timings = {k: float(v) for k, v in sorted(timings.items())}
+    except (TypeError, ValueError) as exc:
+        raise PlanLoadError(f"envelope timings must be numbers: {exc}") from exc
+    return doc, {
+        "key": key,
+        "fingerprints": dict(sorted(fingerprints.items())),
+        "engine": str(doc.get("engine", "")),
+        "timings": timings,
+        "created": str(doc.get("created", "")),
+    }
+
 
 @dataclasses.dataclass
 class CacheEnvelope:
@@ -381,10 +485,10 @@ class CacheEnvelope:
     the versioned cache key, the full (untruncated) fingerprints it was
     derived from, the evaluation tier that produced it, the search
     timings, the plan's cost, and the routed-plan document itself.  The
-    metadata lets ``repro cache stats`` explain an entry, lets loads
-    cross-check the key against the fingerprints, and keeps cold-search
-    timings reconstructable after the fact; none of it affects pricing —
-    the payload round-trips through :func:`routed_to_json` untouched.
+    metadata lets ``repro cache stats`` explain an entry and keeps
+    cold-search timings reconstructable after the fact; none of it
+    affects pricing — the payload round-trips through
+    :func:`routed_to_json` untouched.
     """
 
     key: str
@@ -421,81 +525,32 @@ def envelope_to_json(
     indent: Optional[int] = None,
 ) -> str:
     """Wrap a routed plan in a versioned cache envelope."""
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "envelope": CACHE_ENVELOPE_VERSION,
-        "kind": "repro.plan_cache_entry",
-        "key": key,
-        "fingerprints": dict(fingerprints),
-        "engine": engine,
-        "timings": dict(timings),
-        "cost": cost,
-        "created": created,
-        "payload": json.loads(routed_to_json(routed, indent=None)),
-    }
+    doc = _envelope_header_doc(
+        _PLAN_ENVELOPE, key, fingerprints, engine, timings, created
+    )
+    doc["cost"] = cost
+    doc["payload"] = json.loads(routed_to_json(routed, indent=None))
     return json.dumps(doc, indent=indent, sort_keys=True)
 
 
 def envelope_from_json(
     text: str,
     node_graph: Optional[NodeGraph] = None,
-    verify: bool = True,
     expected_key: Optional[str] = None,
 ) -> CacheEnvelope:
     """Parse a cache envelope; raises :class:`PlanLoadError` when corrupt.
 
-    ``expected_key`` guards against a blob filed under the wrong name
-    (a renamed file, a hash-schema mismatch): an envelope claiming a
-    different key is rejected rather than silently served.  With a graph
-    and ``verify=True`` the embedded routed plan is re-verified by the
-    static verifier before it is trusted.
+    The header checks are :func:`_envelope_header`'s.  With a graph the
+    embedded routed plan is re-verified by the static verifier before it
+    is trusted; without one only its structure is checked.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PlanLoadError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("kind") != "repro.plan_cache_entry":
-        raise PlanLoadError("document is not a plan-cache envelope")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise PlanLoadError(
-            f"unsupported schema version {doc.get('schema')!r} "
-            f"(this library reads version {SCHEMA_VERSION})"
-        )
-    if doc.get("envelope") != CACHE_ENVELOPE_VERSION:
-        raise PlanLoadError(
-            f"unsupported envelope version {doc.get('envelope')!r} "
-            f"(this library reads version {CACHE_ENVELOPE_VERSION})"
-        )
-    key = doc.get("key")
-    if not isinstance(key, str) or not key:
-        raise PlanLoadError("envelope carries no cache key")
-    if expected_key is not None and key != expected_key:
-        raise PlanLoadError(
-            f"envelope key {key!r} does not match its slot {expected_key!r}"
-        )
-    fingerprints = doc.get("fingerprints")
-    if not isinstance(fingerprints, dict) or not all(
-        isinstance(k, str) and isinstance(v, str)
-        for k, v in fingerprints.items()
-    ):
-        raise PlanLoadError("envelope fingerprints must map names to digests")
-    timings = doc.get("timings")
-    if not isinstance(timings, dict):
-        raise PlanLoadError("envelope timings must be a mapping")
+    doc, header = _envelope_header(text, _PLAN_ENVELOPE, expected_key)
     try:
         cost = float(doc["cost"])
     except (KeyError, TypeError, ValueError) as exc:
         raise PlanLoadError(f"envelope cost is invalid: {exc}") from exc
-    routed = routed_from_doc(doc.get("payload"), node_graph, verify=verify)
-    return CacheEnvelope(
-        key=key,
-        fingerprints={k: str(v) for k, v in sorted(fingerprints.items())},
-        engine=str(doc.get("engine", "")),
-        timings={k: float(v) for k, v in sorted(timings.items())},
-        cost=cost,
-        created=str(doc.get("created", "")),
-        routed=routed,
-    )
+    routed = routed_from_doc(doc.get("payload"), node_graph)
+    return CacheEnvelope(cost=cost, routed=routed, **header)
 
 
 # ---------------------------------------------------------------------------
@@ -565,17 +620,10 @@ def sim_envelope_to_json(
     indent: Optional[int] = None,
 ) -> str:
     """Wrap per-plan simulation profiles in a versioned cache envelope."""
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "envelope": SIM_ENVELOPE_VERSION,
-        "kind": "repro.sim_cache_entry",
-        "key": key,
-        "fingerprints": dict(fingerprints),
-        "engine": engine,
-        "timings": dict(timings),
-        "created": created,
-        "profiles": profiles,
-    }
+    doc = _envelope_header_doc(
+        _SIM_ENVELOPE, key, fingerprints, engine, timings, created
+    )
+    doc["profiles"] = profiles
     return json.dumps(doc, indent=indent, sort_keys=True)
 
 
@@ -614,50 +662,13 @@ def sim_envelope_from_json(
 ) -> SimEnvelope:
     """Parse a simulation envelope; raises :class:`PlanLoadError` when corrupt.
 
-    Mirrors :func:`envelope_from_json`'s guarantees — kind/version gate,
-    slot-key cross-check, field validation — so the disk cache can
-    quarantine anything unreadable instead of serving it.
+    The header checks are :func:`_envelope_header`'s, the same as for a
+    plan envelope; every profile record is then field-checked.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PlanLoadError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("kind") != "repro.sim_cache_entry":
-        raise PlanLoadError("document is not a simulation-cache envelope")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise PlanLoadError(
-            f"unsupported schema version {doc.get('schema')!r} "
-            f"(this library reads version {SCHEMA_VERSION})"
-        )
-    if doc.get("envelope") != SIM_ENVELOPE_VERSION:
-        raise PlanLoadError(
-            f"unsupported sim-envelope version {doc.get('envelope')!r} "
-            f"(this library reads version {SIM_ENVELOPE_VERSION})"
-        )
-    key = doc.get("key")
-    if not isinstance(key, str) or not key:
-        raise PlanLoadError("envelope carries no cache key")
-    if expected_key is not None and key != expected_key:
-        raise PlanLoadError(
-            f"envelope key {key!r} does not match its slot {expected_key!r}"
-        )
-    fingerprints = doc.get("fingerprints")
-    if not isinstance(fingerprints, dict) or not all(
-        isinstance(k, str) and isinstance(v, str)
-        for k, v in fingerprints.items()
-    ):
-        raise PlanLoadError("envelope fingerprints must map names to digests")
-    timings = doc.get("timings")
-    if not isinstance(timings, dict):
-        raise PlanLoadError("envelope timings must be a mapping")
+    doc, header = _envelope_header(text, _SIM_ENVELOPE, expected_key)
     profiles = doc.get("profiles")
     if not isinstance(profiles, list) or not profiles:
         raise PlanLoadError("envelope must carry a non-empty profile list")
     return SimEnvelope(
-        key=key,
-        fingerprints={k: str(v) for k, v in sorted(fingerprints.items())},
-        engine=str(doc.get("engine", "")),
-        timings={k: float(v) for k, v in sorted(timings.items())},
-        created=str(doc.get("created", "")),
-        profiles=[_check_sim_profile(p) for p in profiles],
+        profiles=[_check_sim_profile(p) for p in profiles], **header
     )

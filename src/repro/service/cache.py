@@ -7,13 +7,15 @@ filename-safe by construction), written atomically via a temp file +
 ``os.replace`` so a crashed or concurrent writer can never leave a
 half-written blob under a valid key.
 
-Disk entries are never trusted blindly: loads re-parse through
-:func:`envelope_from_json` (with ``expected_key`` pinned to the slot
-name) and optionally re-verify the embedded routed plan against the
-request's graph.  Anything that fails — truncated JSON, a schema from a
-future version, a plan that no longer verifies — is *quarantined* (moved
-into ``quarantine/`` for post-mortems) and reported as a miss, so one
-corrupt blob costs a re-search, not an outage.
+A disk entry reaches the LRU one way only: a ``get`` that parses it
+through :func:`envelope_from_json` (header checks, ``expected_key``
+pinned to the slot name) and re-verifies the embedded routed plan
+against the request's graph.  Anything that fails — truncated JSON, a
+schema from a future version, a plan that no longer verifies — is
+*quarantined* (moved into ``quarantine/`` for post-mortems) and reported
+as a miss, so one corrupt blob costs a re-search, not an outage.  A
+restarted process therefore starts with an empty LRU and fills it from
+verified disk hits.
 """
 
 from __future__ import annotations
@@ -34,15 +36,10 @@ QUARANTINE_DIR = "quarantine"
 
 
 def _parse_plan_envelope(
-    text: str,
-    node_graph: Optional[NodeGraph],
-    verify: bool,
-    expected_key: Optional[str],
+    text: str, node_graph: Optional[NodeGraph], expected_key: Optional[str]
 ) -> CacheEnvelope:
     """Default ``parse`` hook: plan-cache envelopes."""
-    return envelope_from_json(
-        text, node_graph, verify=verify, expected_key=expected_key
-    )
+    return envelope_from_json(text, node_graph, expected_key=expected_key)
 
 
 def default_cache_dir() -> Path:
@@ -95,8 +92,8 @@ class PlanCache:
     """The planner service's persistent plan store.
 
     ``cache_dir=None`` runs memory-only (tests, embedded use); with a
-    directory, every ``put`` also lands on disk and a fresh process can
-    warm-start from whatever previous runs left behind.  All methods are
+    directory, every ``put`` also lands on disk and a fresh process
+    answers from whatever previous runs left behind.  All methods are
     thread-safe; cross-*process* safety comes from atomic replaces —
     two writers racing on one key both write whole envelopes, and since
     keys are content fingerprints, either winner is correct.
@@ -107,7 +104,6 @@ class PlanCache:
         cache_dir: Optional[os.PathLike] = None,
         *,
         capacity: int = 128,
-        verify_loads: bool = True,
         parse=None,
         key_glob: str = "v*.json",
     ) -> None:
@@ -115,9 +111,9 @@ class PlanCache:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._dir = Path(cache_dir) if cache_dir is not None else None
         self._capacity = capacity
-        self._verify_loads = verify_loads
-        # ``parse(text, node_graph, verify, expected_key) -> envelope``;
-        # the default reads plan-cache envelopes.  The simulation-profile
+        # ``parse(text, node_graph, expected_key) -> envelope``, checking
+        # the payload against *node_graph* when one is given; the default
+        # reads plan-cache envelopes.  The simulation-profile
         # store reuses the whole LRU/atomic-write/quarantine machinery by
         # swapping in ``sim_envelope_from_json`` (and a matching glob for
         # its ``sim-v…`` key prefix) — parse failures quarantine the same
@@ -133,10 +129,15 @@ class PlanCache:
     # -- lookups -----------------------------------------------------------
 
     def get(
-        self, key: str, node_graph: Optional[NodeGraph] = None
+        self, key: str, node_graph: Optional[NodeGraph]
     ) -> Tuple[Optional[CacheEnvelope], str]:
         """Look *key* up; returns ``(envelope, tier)`` with tier in
-        ``"memory"`` / ``"disk"`` / ``""`` (miss)."""
+        ``"memory"`` / ``"disk"`` / ``""`` (miss).
+
+        A disk hit is verified against *node_graph*, the graph the key
+        was computed from; ``None`` checks structure only and is for
+        maintenance listings, never for answering a request.
+        """
         with self._lock:
             env = self._lru.get(key)
             if env is not None:
@@ -163,12 +164,7 @@ class PlanCache:
         except OSError:
             return None
         try:
-            return self._parse(
-                text,
-                node_graph,
-                self._verify_loads and node_graph is not None,
-                key,
-            )
+            return self._parse(text, node_graph, key)
         except (PlanLoadError, PlanVerificationError):
             self._quarantine(path)
             return None
@@ -194,7 +190,7 @@ class PlanCache:
         parses it once — the parse also acts as a write barrier: an
         envelope the reader side cannot load never reaches the cache.
         """
-        env = self._parse(envelope_json, None, False, key)
+        env = self._parse(envelope_json, None, key)
         path = self._entry_path(key)
         if path is not None:
             tmp = path.with_name(f".{path.name}.tmp{os.getpid()}.{threading.get_ident()}")
@@ -213,28 +209,6 @@ class PlanCache:
             self.stats.evictions += 1
 
     # -- maintenance -------------------------------------------------------
-
-    def preload(self, limit: Optional[int] = None) -> int:
-        """Warm-restart: pull disk entries (newest first) into the LRU.
-
-        Structural validation only — plan re-verification needs the
-        request graph, which happens lazily on first real ``get``.
-        """
-        loaded = 0
-        budget = min(limit if limit is not None else self._capacity, self._capacity)
-        for key, path in self.disk_entries():
-            if loaded >= budget:
-                break
-            with self._lock:
-                if key in self._lru:
-                    continue
-            env = self._load_disk(key, None)
-            if env is None:
-                continue
-            with self._lock:
-                self._insert(key, env)
-            loaded += 1
-        return loaded
 
     def disk_entries(self) -> List[Tuple[str, Path]]:
         """``(key, path)`` for every disk entry, newest first."""

@@ -81,16 +81,13 @@ class ServiceOverloadedError(ServiceError):
 
 
 def _parse_sim_envelope(
-    text: str,
-    node_graph: Optional[NodeGraph],
-    verify: bool,
-    expected_key: Optional[str],
+    text: str, node_graph: Optional[NodeGraph], expected_key: Optional[str]
 ) -> SimEnvelope:
     """:class:`PlanCache` parse hook for the simulation-profile store.
 
-    Profiles carry no plan to re-verify, so the graph/verify arguments
-    are intentionally unused — structural validation plus the slot-key
-    cross-check is the whole trust story.
+    Profiles carry no plan to re-verify, so the graph is intentionally
+    unused — the header checks, the slot-key cross-check and the
+    per-profile field checks are the whole trust story.
     """
     return sim_envelope_from_json(text, expected_key=expected_key)
 
@@ -164,8 +161,8 @@ class PlannerService:
     ``workers=None`` executes misses inline on the calling thread (no
     subprocesses — the embedded/test mode); ``workers=N`` runs them on a
     fleet of N processes; ``workers=0`` auto-sizes the fleet to the
-    machine.  ``preload=True`` warm-restarts the LRU from whatever the
-    disk store already holds.
+    machine.  A service opened on an existing directory answers from
+    its disk store, verifying each blob on first use.
     """
 
     def __init__(
@@ -175,14 +172,10 @@ class PlannerService:
         workers: Optional[int] = None,
         lru_capacity: int = 128,
         queue_limit: int = 32,
-        verify_loads: bool = True,
-        preload: bool = False,
     ) -> None:
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
-        self.cache = PlanCache(
-            cache_dir, capacity=lru_capacity, verify_loads=verify_loads
-        )
+        self.cache = PlanCache(cache_dir, capacity=lru_capacity)
         # Sibling store for POST /simulate envelopes: same LRU / atomic
         # write / quarantine machinery, its own directory and key prefix
         # so `repro cache` maintenance on either store cannot eat the
@@ -190,7 +183,6 @@ class PlannerService:
         self.sim_cache = PlanCache(
             Path(cache_dir) / "sim" if cache_dir is not None else None,
             capacity=lru_capacity,
-            verify_loads=False,
             parse=_parse_sim_envelope,
             key_glob="sim-v*.json",
         )
@@ -211,7 +203,6 @@ class PlannerService:
             "simulations": 0,
         }
         self._closed = False
-        self._preloaded = self.cache.preload() if preload else 0
 
     # -- identity ----------------------------------------------------------
 
@@ -364,7 +355,7 @@ class PlannerService:
         with self._lock:
             self._counters["sim_requests"] += 1
         with obs.trace.span("service.simulate", key=key, model=request.model):
-            env, tier = self.sim_cache.get(key)
+            env, tier = self.sim_cache.get(key, node_graph)
             if env is not None:
                 obs.metrics.counter(f"service.sim_hit_{tier}")
                 return self._sim_respond(key, tier, env, request, start)
@@ -486,7 +477,6 @@ class PlannerService:
             },
             "queue": {"inflight": inflight, "limit": self._queue_limit},
             "workers": self._fleet.workers if self._fleet is not None else 0,
-            "preloaded": self._preloaded,
         }
 
     def close(self, wait: bool = True) -> None:

@@ -177,7 +177,6 @@ def serve(
     workers: Optional[int] = None,
     lru_capacity: int = 128,
     queue_limit: int = 32,
-    preload: bool = True,
 ) -> PlannerServer:
     """Build service + server (not yet running); the CLI entry point."""
     service = PlannerService(
@@ -185,7 +184,6 @@ def serve(
         workers=workers,
         lru_capacity=lru_capacity,
         queue_limit=queue_limit,
-        preload=preload and cache_dir is not None,
     )
     return PlannerServer(service, host, port)
 

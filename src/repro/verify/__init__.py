@@ -22,7 +22,7 @@ the CLI as ``repro verify plan`` / ``repro verify lint`` /
 """
 
 from .diagnostics import Diagnostic, VerificationReport, PlanVerificationError
-from .plan_checks import verify_envelope, verify_plan, verify_routed, verify_rewrite
+from .plan_checks import verify_plan, verify_routed, verify_rewrite
 from .lint import LINT_RULES, lint_paths, lint_source
 from .analyze import ANALYZE_RULES, analyze_paths
 from .output import FORMATS, format_diagnostics
@@ -31,7 +31,6 @@ __all__ = [
     "Diagnostic",
     "VerificationReport",
     "PlanVerificationError",
-    "verify_envelope",
     "verify_plan",
     "verify_routed",
     "verify_rewrite",

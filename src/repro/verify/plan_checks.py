@@ -61,7 +61,6 @@ __all__ = [
     "verify_plan",
     "verify_routed",
     "verify_rewrite",
-    "verify_envelope",
     "ALL_RULES",
 ]
 
@@ -89,11 +88,6 @@ ALL_RULES: Dict[str, str] = {
     "rewrite/orphan-comm": "a comm op nothing priced means cost and graph disagree",
     "rewrite/duplicate-comm": "one edge must carry exactly the collective the plan claims",
     "rewrite/count": "num_comm_ops is reported downstream; it must match the graph",
-    "cache/kind": "a blob that is not a cache envelope must never be served as a plan",
-    "cache/schema": "a different schema/envelope version may encode different semantics",
-    "cache/key": "an envelope filed under the wrong key would answer the wrong request",
-    "cache/fingerprint": "fingerprints must be present and well-formed to audit a hit",
-    "cache/payload": "the embedded routed-plan document must be structurally present",
 }
 
 # ---------------------------------------------------------------------------
@@ -810,82 +804,4 @@ def verify_rewrite(
             "backward stream",
         )
     _check_packing(stream, rewrite.gradient_buckets, packing, report)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# plan-cache envelopes (the service's disk store)
-# ---------------------------------------------------------------------------
-
-#: full-digest length of the fingerprints an envelope must carry.
-_FP_HEX = 64
-
-_FP_NAMES = ("graph", "mesh", "config")
-
-
-def verify_envelope(doc, expected_key: Optional[str] = None) -> VerificationReport:
-    """Structural checks over a decoded plan-cache envelope document.
-
-    The disk cache runs this *before* attempting to deserialise the
-    payload: a corrupt or mislabelled blob is quarantined on the spot
-    instead of crashing the service mid-request.  These are shape checks
-    only — the payload itself is re-verified by the full routed-plan
-    rules when it is deserialised against a graph.
-    """
-    from ..core.serialize import CACHE_ENVELOPE_VERSION, SCHEMA_VERSION
-
-    report = VerificationReport()
-    report.rules_checked = 5
-    if not isinstance(doc, dict) or doc.get("kind") != "repro.plan_cache_entry":
-        kind = doc.get("kind") if isinstance(doc, dict) else type(doc).__name__
-        report.add(
-            "cache/kind",
-            f"document kind is {kind!r}; expected 'repro.plan_cache_entry'",
-            hint="quarantine the blob; it is not a cache entry",
-        )
-        return report  # nothing else is meaningful on a foreign document
-    if (
-        doc.get("schema") != SCHEMA_VERSION
-        or doc.get("envelope") != CACHE_ENVELOPE_VERSION
-    ):
-        report.add(
-            "cache/schema",
-            f"envelope is schema={doc.get('schema')!r} "
-            f"envelope={doc.get('envelope')!r}; this library reads "
-            f"schema={SCHEMA_VERSION} envelope={CACHE_ENVELOPE_VERSION}",
-            hint="treat as a miss; a re-search will overwrite the slot",
-        )
-    key = doc.get("key")
-    if not isinstance(key, str) or not key:
-        report.add("cache/key", "envelope carries no cache key")
-    elif expected_key is not None and key != expected_key:
-        report.add(
-            "cache/key",
-            f"envelope claims key {key!r} but was filed under "
-            f"{expected_key!r}",
-            hint="a renamed or cross-copied blob; quarantine it",
-        )
-    fps = doc.get("fingerprints")
-    if not isinstance(fps, dict):
-        report.add("cache/fingerprint", "envelope carries no fingerprint map")
-    else:
-        for name in _FP_NAMES:
-            digest = fps.get(name)
-            if (
-                not isinstance(digest, str)
-                or len(digest) != _FP_HEX
-                or any(c not in "0123456789abcdef" for c in digest)
-            ):
-                report.add(
-                    "cache/fingerprint",
-                    f"fingerprint {name!r} is missing or not a "
-                    f"{_FP_HEX}-hex digest",
-                )
-    payload = doc.get("payload")
-    if not isinstance(payload, dict) or payload.get("kind") != "repro.routed_plan":
-        report.add(
-            "cache/payload",
-            "envelope payload is not a routed-plan document",
-            hint="the full routed-plan rules re-verify the payload on load",
-        )
     return report

@@ -6,7 +6,6 @@ import pytest
 
 from repro.cluster import paper_testbed
 from repro.core import (
-    CACHE_ENVELOPE_VERSION,
     CostConfig,
     PlanLoadError,
     coarsen,
@@ -15,12 +14,19 @@ from repro.core import (
     plan_cache_key,
     plan_request,
     routed_to_json,
+    sim_envelope_from_json,
+    sim_envelope_to_json,
 )
 from repro.graph import trim_auxiliary
 from repro.models import build_preset
-from repro.verify import verify_envelope
 
 FPS = {"graph": "a" * 64, "mesh": "b" * 64, "config": "c" * 64}
+
+#: the field carrying each envelope kind's payload
+PAYLOAD = {"repro.plan_cache_entry": "payload", "repro.sim_cache_entry": "profiles"}
+#: how load errors name each envelope kind
+LABEL = {"repro.plan_cache_entry": "plan-cache",
+         "repro.sim_cache_entry": "simulation-cache"}
 
 
 @pytest.fixture(scope="module")
@@ -66,24 +72,60 @@ def test_verify_on_load_catches_tampered_payload(envelope):
         envelope_from_json(json.dumps(doc), ng, expected_key=key)
 
 
+@pytest.fixture(scope="module")
+def envelope_kinds(envelope):
+    """One valid document per envelope kind, with the parser that reads it."""
+    key, text, _, _ = envelope
+    sim_text = sim_envelope_to_json(
+        [{"plan": "dp", "valid": False}],
+        key=f"sim-{key}",
+        fingerprints=dict(FPS, plans="d" * 64),
+        engine="columnar",
+        timings={"simulate_s": 0.001},
+    )
+    return [(text, envelope_from_json), (sim_text, sim_envelope_from_json)]
+
+
+def _without(mapping, name):
+    return {k: v for k, v in mapping.items() if k != name}
+
+
+# Each mutation maps a valid document to a corrupt one; every one must be
+# rejected by the shared header parser for the plan and the sim kind alike.
+# A message naming the plan-cache kind names the sim kind on the sim leg.
 @pytest.mark.parametrize("mutate, message", [
-    (lambda d: d.update(kind="something_else"), "not a plan-cache envelope"),
-    (lambda d: d.update(envelope=CACHE_ENVELOPE_VERSION + 1),
-     "envelope version"),
-    (lambda d: d.update(key=""), "no cache key"),
-    (lambda d: d.update(fingerprints=[1, 2]), "fingerprints"),
-    (lambda d: d.update(timings="fast"), "timings"),
-    (lambda d: d.update(cost="cheap"), "cost"),
-    (lambda d: d.update(payload=None), None),
+    (lambda d: {**d, "kind": "something_else"}, "not a plan-cache envelope"),
+    (lambda d: [d], "document is not a"),
+    (lambda d: {**d, "schema": d["schema"] + 1}, "schema version"),
+    (lambda d: {**d, "envelope": d["envelope"] + 1}, "envelope version"),
+    (lambda d: {**d, "key": ""}, "no cache key"),
+    (lambda d: {**d, "fingerprints": [1, 2]}, "fingerprints"),
+    (lambda d: {**d, "fingerprints": _without(d["fingerprints"], "mesh")},
+     "fingerprint 'mesh' is missing"),
+    (lambda d: {**d, "fingerprints": {**d["fingerprints"], "graph": "zz"}},
+     "64-hex digest"),
+    (lambda d: {**d, "timings": "fast"}, "timings"),
+    (lambda d: {**d, "timings": {"wall_seconds": "slow"}},
+     "timings must be numbers"),
+    (lambda d: _without(d, PAYLOAD[d["kind"]]), None),
 ])
-def test_malformed_envelopes_raise_plan_load_error(envelope, mutate, message):
+def test_malformed_envelopes_raise_plan_load_error(
+    envelope_kinds, mutate, message
+):
+    for text, parse in envelope_kinds:
+        doc = json.loads(text)
+        with pytest.raises(PlanLoadError) as err:
+            parse(json.dumps(mutate(doc)))
+        if message:
+            expected = message.replace("plan-cache", LABEL[doc["kind"]])
+            assert expected in str(err.value)
+
+
+def test_invalid_cost_rejected(envelope):
     _, text, _, _ = envelope
-    doc = json.loads(text)
-    mutate(doc)
-    with pytest.raises(PlanLoadError) as err:
-        envelope_from_json(json.dumps(doc), verify=False)
-    if message:
-        assert message in str(err.value)
+    doc = dict(json.loads(text), cost="cheap")
+    with pytest.raises(PlanLoadError, match="cost"):
+        envelope_from_json(json.dumps(doc))
 
 
 def test_truncated_json_raises(envelope):
@@ -96,21 +138,3 @@ def test_key_slot_mismatch_rejected(envelope):
     key, text, _, _ = envelope
     with pytest.raises(PlanLoadError, match="does not match its slot"):
         envelope_from_json(text, expected_key=key[:-4] + "beef")
-
-
-def test_verify_envelope_reports(envelope):
-    key, text, _, _ = envelope
-    report = verify_envelope(json.loads(text), expected_key=key)
-    assert report.ok, report.describe()
-
-    doc = json.loads(text)
-    doc["fingerprints"]["mesh"] = "zz"  # not 64 hex chars
-    report = verify_envelope(doc)
-    assert not report.ok
-    assert any(d.rule == "cache/fingerprint" for d in report.errors)
-
-    doc = json.loads(text)
-    del doc["payload"]
-    assert not verify_envelope(doc).ok
-
-    assert not verify_envelope([], expected_key=key).ok

@@ -1,4 +1,5 @@
-"""Simulation-cache envelopes: round trip, corruption detection."""
+"""Simulation-cache envelopes: round trip, corruption detection (the
+shared header checks also run in test_envelope.py over both kinds)."""
 
 import json
 
@@ -94,7 +95,7 @@ def test_wrong_kind_rejected():
 
 def test_future_envelope_version_rejected():
     bad = corrupt(make_text(), envelope=SIM_ENVELOPE_VERSION + 1)
-    with pytest.raises(PlanLoadError, match="sim-envelope version"):
+    with pytest.raises(PlanLoadError, match="simulation-cache version"):
         sim_envelope_from_json(bad)
 
 

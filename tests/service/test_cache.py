@@ -42,7 +42,7 @@ def entry():
 def test_memory_only_cache_roundtrip(entry):
     key, text, ng = entry
     cache = PlanCache(None, capacity=4)
-    assert cache.get(key)[0] is None
+    assert cache.get(key, ng)[0] is None
     env = cache.put(key, text)
     got, tier = cache.get(key, ng)
     assert tier == "memory" and got is env
@@ -79,7 +79,7 @@ def test_lru_eviction_order(entry):
     assert docs[0] not in cache          # oldest evicted
     assert docs[1] in cache and docs[2] in cache
     # touching docs[1] makes docs[2] the eviction victim
-    cache.get(docs[1])
+    cache.get(docs[1], None)
     doc = json.loads(text)
     doc["key"] = f"{key[:-1]}9"
     cache.put(doc["key"], json.dumps(doc))
@@ -101,11 +101,11 @@ def test_corrupt_blob_is_quarantined_not_fatal(entry, tmp_path):
 
 
 def test_wrong_slot_blob_is_quarantined(entry, tmp_path):
-    key, text, _ = entry
+    key, text, ng = entry
     cache = PlanCache(tmp_path)
     wrong = f"{key[:-4]}beef"
     (tmp_path / f"{wrong}.json").write_text(text)  # claims `key` inside
-    env, _ = PlanCache(tmp_path).get(wrong)
+    env, _ = PlanCache(tmp_path).get(wrong, ng)
     assert env is None
     assert (tmp_path / QUARANTINE_DIR / f"{wrong}.json").exists()
 
@@ -117,22 +117,13 @@ def test_put_rejects_unloadable_envelope(tmp_path):
     assert len(cache) == 0 and not list(tmp_path.glob("*.json"))
 
 
-def test_preload_warm_restart(entry, tmp_path):
-    key, text, _ = entry
-    PlanCache(tmp_path).put(key, text)
-    cache = PlanCache(tmp_path)
-    assert cache.preload() == 1
-    assert key in cache
-    assert cache.get(key)[1] == "memory"  # no disk trip needed
-
-
 def test_clear_removes_disk_and_quarantine(entry, tmp_path):
-    key, text, _ = entry
+    key, text, ng = entry
     cache = PlanCache(tmp_path)
     cache.put(key, text)
     (tmp_path / f"{key}.json").write_text("garbage")
     cache2 = PlanCache(tmp_path)
-    cache2.get(key)  # quarantines
+    cache2.get(key, ng)  # quarantines
     removed = cache2.clear()
     assert removed == 1  # the quarantined blob
     assert not list(tmp_path.glob("v*.json"))

@@ -35,12 +35,36 @@ def test_miss_then_memory_hit_bit_identical(tmp_path):
 def test_warm_restart_from_disk(tmp_path):
     with PlannerService(tmp_path, workers=None) as svc:
         first = svc.plan(REQ)
-    # same directory, fresh process-equivalent, LRU preloaded from disk
-    with PlannerService(tmp_path, workers=None, preload=True) as svc:
-        assert svc.stats()["preloaded"] == 1
+    # same directory, fresh process-equivalent: the LRU starts empty and
+    # fills from verified disk hits
+    with PlannerService(tmp_path, workers=None) as svc:
         again = svc.plan(REQ)
-    assert again.source == "memory"
+        third = svc.plan(REQ)
+        assert svc.cache.stats.quarantined == 0
+    assert again.source == "disk" and third.source == "memory"
     assert again.envelope.to_json() == first.envelope.to_json()
+
+
+def test_restart_quarantines_tampered_blob(tmp_path):
+    """A blob that parses but no longer verifies is never served after a
+    restart: it is quarantined and the request is searched again."""
+    with PlannerService(tmp_path, workers=None) as svc:
+        first = svc.plan(REQ)
+    path = tmp_path / f"{first.key}.json"
+    doc = json.loads(path.read_text())
+    # flip one sharded shard's output layout: still parseable, no longer
+    # what independent layout propagation derives
+    shard = next(
+        s for s in doc["payload"]["shards"].values() if s["output_layout"] == "S"
+    )
+    shard["output_layout"] = "D"
+    path.write_text(json.dumps(doc, sort_keys=True))
+    with PlannerService(tmp_path, workers=None) as svc:
+        again = svc.plan(REQ)
+        assert svc.cache.stats.quarantined == 1
+    assert again.source == "search"
+    assert (tmp_path / "quarantine" / path.name).exists()
+    assert routed_to_json(again.routed) == routed_to_json(first.routed)
 
 
 def test_retired_tier_envelopes_still_serve(tmp_path):
