@@ -15,9 +15,10 @@ The 96-layer stack's oracle is instead the same columnar search on a
 depth, so four times the layers may cost at most ``MAX_DEPTH_GROWTH``
 times the wall.
 
-The bench gates itself: the speed-up floor stands in for the walls,
-the work counters (nodes, candidates, bound-skipped) are pinned exactly,
-and peak tracked memory is held to ``PEAK_SLACK`` times a pinned value.
+The bench gates itself: the speed-up floor stands in for the walls, the
+work counters (nodes, candidates, bound-skipped, rows priced) are pinned
+exactly, and peak tracked memory is held to ``PEAK_SLACK`` times a pinned
+value.
 """
 
 import time
@@ -45,12 +46,13 @@ REPEATS = 3
 #: 36x-45x; whole-suite runs down to 8.6x on resnet_300k).
 MIN_COLUMNAR_SPEEDUP = {"resnet_300k": 4.0, "moe_deep": 15.0}
 
-#: Deterministic work of one derivation, pinned exactly:
-#: (coarsened nodes, candidates examined, candidates the bound skipped).
+#: Deterministic work of one derivation, pinned exactly: (coarsened
+#: nodes, candidates examined, candidates the bound skipped, rows the
+#: columnar evaluator computed).
 COUNTERS = {
-    "t5_96l": (2792, 2927, 2591),
-    "resnet_300k": (74, 289, 72),
-    "moe_deep": (629, 983, 381),
+    "t5_96l": (2792, 2927, 2591, 2927),
+    "resnet_300k": (74, 289, 72, 289),
+    "moe_deep": (629, 983, 381, 983),
 }
 
 #: Peak tracked memory (MB) of one warm columnar derivation.
@@ -145,6 +147,7 @@ def test_columnar_scale_speedup(run_once):
             "wall_s": r["wall"]["columnar"],
             "candidates": col.candidates_examined,
             "bound_skipped": col.bound_skipped,
+            "rows_priced": col.rows_priced,
             "peak_mem_mb": r["peak_mb"],
         }
         if "reference" in r["wall"]:
@@ -158,8 +161,8 @@ def test_columnar_scale_speedup(run_once):
     for r in rows:
         col = r["results"]["columnar"]
         # the work is deterministic: the bound skips exactly as many
-        assert (r["nodes"], col.candidates_examined, col.bound_skipped) == \
-            COUNTERS[r["model"]], r["model"]
+        assert (r["nodes"], col.candidates_examined, col.bound_skipped,
+                col.rows_priced) == COUNTERS[r["model"]], r["model"]
         assert r["peak_mb"] <= PEAK_SLACK * PEAK_MB[r["model"]], (
             r["model"], r["peak_mb"])
         if "reference" not in r["wall"]:

@@ -50,9 +50,10 @@ REPEATS = 3
 #: 7.3x on resnet-100K), so load alone does not trip it.
 MIN_SPEEDUP = {"t5-24L": 25.0, "resnet-100K": 3.5}
 
-#: Deterministic work of one derivation, pinned exactly:
-#: (candidates examined, candidates the bound skipped).
-COUNTERS = {"t5-24L": (2927, 2591), "resnet-100K": (289, 72)}
+#: Deterministic work of one derivation, pinned exactly: (candidates
+#: examined, candidates the bound skipped, rows the columnar evaluator
+#: computed).  A row priced twice shows in the last figure.
+COUNTERS = {"t5-24L": (2927, 2591, 2927), "resnet-100K": (289, 72, 289)}
 
 #: Peak tracked memory (MB) of one warm columnar derivation.
 PEAK_MB = {"t5-24L": 1.965, "resnet-100K": 0.058}
@@ -124,6 +125,7 @@ def test_search_hotpath_tier_speedups(run_once):
                 rec.update(
                     speedup=ref_s / r["wall"][tier],
                     bound_skipped=res.bound_skipped,
+                    rows_priced=res.rows_priced,
                     peak_mem_mb=r["peak_mb"],
                 )
             records.append(rec)
@@ -138,8 +140,9 @@ def test_search_hotpath_tier_speedups(run_once):
         assert res.cost == ref.cost, r["model"]
         assert res.candidates_examined == ref.candidates_examined, r["model"]
         # the work is deterministic: the bound skips exactly as many
-        assert (res.candidates_examined, res.bound_skipped) == \
-            COUNTERS[r["model"]], r["model"]
+        assert (res.candidates_examined, res.bound_skipped,
+                res.rows_priced) == COUNTERS[r["model"]], r["model"]
+        assert ref.rows_priced == 0, r["model"]
         # and the whole point: it is much faster
         speedup = r["wall"]["reference"] / r["wall"]["columnar"]
         assert speedup >= MIN_SPEEDUP[r["model"]], (r["model"], speedup)

@@ -75,31 +75,18 @@ def flexflow_like_search(
     start = time.perf_counter()
 
     current: Dict[str, str] = {n: "replicate" for n in options}
-    current_routed = None
 
-    def evaluate(assignment, changed=None):
-        """(cost, routed) of one proposal, or (None, None) when invalid.
-
-        A proposal differs from the accepted state in a single victim
-        node, so its routing reuses the accepted plan's walk up to that
-        node instead of re-walking the whole graph per trial.
-        """
+    def evaluate(assignment) -> Optional[float]:
+        """Cost of one proposal (a full routing walk), or None when invalid."""
         plan = ShardingPlan.of(
             {k: v for k, v in assignment.items() if v != "replicate"}, tp
         )
         try:
-            if current_routed is not None and changed is not None:
-                routed = route_plan(
-                    node_graph, plan, registry,
-                    base=current_routed, changed=changed,
-                )
-            else:
-                routed = route_plan(node_graph, plan, registry)
+            return cm.plan_cost(route_plan(node_graph, plan, registry))
         except RoutingError:
-            return None, None
-        return cm.plan_cost(routed), routed
+            return None
 
-    current_cost, current_routed = evaluate(current)
+    current_cost = evaluate(current)
     if current_cost is None:  # pragma: no cover - all-replicate always routes
         raise RoutingError("baseline all-replicate plan failed to route")
     result.best_cost = current_cost
@@ -108,12 +95,10 @@ def flexflow_like_search(
     for _ in range(budget):
         result.trials += 1
         proposal = dict(current)
-        changed = None
         if mutable:
             victim = rng.choice(mutable)
             proposal[victim] = rng.choice(options[victim])
-            changed = [victim]
-        cost, routed = evaluate(proposal, changed)
+        cost = evaluate(proposal)
         if cost is None:
             result.invalid += 1
             result.trajectory.append(current_cost)
@@ -122,7 +107,7 @@ def flexflow_like_search(
             -(cost - current_cost) / max(temperature * max(current_cost, 1e-12), 1e-12)
         )
         if accept:
-            current, current_cost, current_routed = proposal, cost, routed
+            current, current_cost = proposal, cost
             result.accepted += 1
         if current_cost < result.best_cost:
             result.best_cost = current_cost

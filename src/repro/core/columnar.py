@@ -494,14 +494,10 @@ class _Degree:
         for c in sk.wl_class_ids.tolist():
             node = sk.nodes[sk.class_rep[c]]
             k = len(node.inputs)
-            shard_d = route_node(
-                node, None, ["D"] * k, [None] * k, tp, {}, strict=True
-            )
+            shard_d = route_node(node, None, ["D"] * k, [None] * k, tp, {})
             ts, _ = cost_model.shard_terms(shard_d, tokens, self.groups)
             if k:
-                shard_r = route_node(
-                    node, None, ["R"] * k, [None] * k, tp, {}, strict=True
-                )
+                shard_r = route_node(node, None, ["R"] * k, [None] * k, tp, {})
                 tful, _ = cost_model.shard_terms(shard_r, tokens, self.groups)
             else:
                 tful = ts
@@ -554,8 +550,7 @@ def _weight_column(
     try:
         pattern = resolve_pattern(node, pattern_name, registry, tp)
         shard = route_node(
-            node, pattern, ["D"] * k, [None] * k + [first_spec], tp, {},
-            strict=True,
+            node, pattern, ["D"] * k, [None] * k + [first_spec], tp, {}
         )
     except RoutingError:
         return None
@@ -664,6 +659,8 @@ class ColumnarEvaluator:
         self._committed = 0
         self._last_assignment: Optional[Dict[str, str]] = None
         self._vec: Optional[np.ndarray] = None
+        #: candidate rows :meth:`_compute` has evaluated (a work counter)
+        self.rows_priced = 0
 
     # ------------------------------------------------------------------
     def _vec_for(self, assignment: Dict[str, str]) -> np.ndarray:
@@ -678,6 +675,7 @@ class ColumnarEvaluator:
         """Evaluate a chunk of candidate column-vectors into cost arrays."""
         sk, d = self._sk, self._deg
         rows, n, m = optmat.shape[0], sk.n, sk.m
+        self.rows_priced += rows
 
         # layouts: weight columns, then level-wise follow propagation
         out = np.zeros((rows, n), dtype=np.int8)
@@ -1036,4 +1034,5 @@ def columnar_block_search(
         if len(meta) == chunk:
             flush()
     flush()
+    out.rows_priced = ev.rows_priced
     return out

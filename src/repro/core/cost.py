@@ -183,11 +183,10 @@ class CostModel:
 
         Each term is ``(kind, value)``: a forward / backward-TP collective
         time, or a gradient packet's byte count destined for the dp/all
-        sync stream.  Terms are cached per shard object: identical shards
-        reused across incremental routings (and the many estimates of one
-        search) are priced once, and a replayed term is the *same float*
-        the direct computation produces, keeping cached and fresh pricing
-        bit-identical.
+        sync stream.  Terms are cached per shard object: a shard priced
+        again (the many estimates of one search) is priced once, and a
+        replayed term is the *same float* the direct computation produces,
+        keeping cached and fresh pricing bit-identical.
         """
         # safe id-key: the cached entry pins the shard (strong ref) and the
         # hit path re-checks identity below, so a recycled id can never alias

@@ -193,6 +193,9 @@ class BlockSearchOutcome:
     best_cost: float = float("inf")
     #: candidates abandoned mid-walk by the admissible bound
     bound_skipped: int = 0
+    #: candidate rows the columnar evaluator computed (0 on the reference
+    #: tier); equals ``candidates`` unless a row is priced twice
+    rows_priced: int = 0
 
 
 def search_block_candidates(

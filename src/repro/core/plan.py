@@ -162,12 +162,6 @@ class RoutedPlan:
     #: serves every consumer demanding the same layout; the rewriter keys
     #: its spliced communication ops off this table.
     conversions: Dict[Tuple[str, str], str] = field(default_factory=dict)
-    #: per consumer node, the conversion claims it registered while being
-    #: routed — lets ``route_plan(..., base=...)`` rebuild the dedup state
-    #: of a reused prefix without re-walking it.
-    claims: Dict[str, List[Tuple[Tuple[str, str], str]]] = field(
-        default_factory=dict
-    )
     #: compiled columnar tapes keyed by ("columnar", mesh, cost config) —
     #: populated lazily by the simulator, never serialised or compared.
     #: Stale only if shards/order are mutated after a simulation, which no

@@ -59,6 +59,9 @@ class FamilySearch:
     best_cost: float = float("inf")
     #: candidates abandoned by the columnar branch-and-bound
     bound_skipped: int = 0
+    #: candidate rows the columnar evaluator computed (0 on the reference
+    #: tier)
+    rows_priced: int = 0
 
 
 @dataclass
@@ -74,6 +77,10 @@ class SearchResult:
     search_seconds: float = 0.0
     #: candidates abandoned mid-walk by the admissible bound
     bound_skipped: int = 0
+    #: candidate rows the columnar evaluator computed over all families
+    #: and the uncovered descent (0 on the reference tier); the final
+    #: price of each assembled plan is not a candidate and is not counted
+    rows_priced: int = 0
     _routed: Optional[RoutedPlan] = None
     _route_thunk: Optional[Callable[[], RoutedPlan]] = None
 
@@ -293,6 +300,8 @@ def derive_plan(
                 current.update({n: best_option for n in names})
                 record.best_cost = best_cost_here
         record.best_assignment = current
+        if evaluator is not None:
+            record.rows_priced = evaluator.rows_priced
         return record
 
     # Per TP degree: sweep every family, run the uncovered search against
@@ -329,6 +338,7 @@ def derive_plan(
                     best_assignment=o.best_assignment,
                     best_cost=o.best_cost,
                     bound_skipped=o.bound_skipped,
+                    rows_priced=o.rows_priced,
                 )
             )
             if o.best_assignment:
@@ -400,6 +410,7 @@ def derive_plan(
     best.candidates_examined = sum(r.candidates for r in family_records)
     best.valid_plans = sum(r.valid for r in family_records)
     best.bound_skipped = sum(r.bound_skipped for r in family_records)
+    best.rows_priced = sum(r.rows_priced for r in family_records)
     best.search_seconds = time.perf_counter() - start
     if metrics.enabled():
         # Whole-search totals (the SearchResult counters) as gauges — the

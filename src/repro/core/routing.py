@@ -13,7 +13,7 @@ plan invalid — these are the plans Algorithm 2 discards.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..graph import OpType, TensorSpec
 from ..obs import trace
@@ -91,8 +91,8 @@ def follow_required(input_layouts, feature_axis: bool) -> str:
     ``feature_axis`` is whether the node contains an op that reduces over
     the feature dimension (see :data:`FEATURE_AXIS_OPS`): such nodes cannot
     run on a feature shard, so an S demand degrades to D/R.  Shared by
-    :func:`route_plan` and the candidate-evaluation engine so both derive
-    identical layouts.
+    :func:`route_plan` and the columnar evaluator so both derive identical
+    layouts.
     """
     required = _required_layout_follow(input_layouts) if input_layouts else Layout.D
     if required == Layout.S and feature_axis:
@@ -107,20 +107,14 @@ def route_node(
     input_specs: List[Optional[TensorSpec]],
     tp: int,
     conversions: Dict[Tuple[str, str], str],
-    strict: bool = True,
-    claims: Optional[List[Tuple[Tuple[str, str], str]]] = None,
     zero_stage: int = 0,
 ) -> NodeShard:
     """Route a single node given its resolved pattern and input layouts.
 
-    This is one iteration of Algorithm 3's walk, factored out so the plain
-    :func:`route_plan` loop, its incremental ``base=`` fast path, and the
-    candidate-evaluation engine all execute the identical code — the
-    determinism guarantee of the memoized search rests on this sharing.
-
-    ``conversions`` is the cross-node dedup table and is mutated in place;
-    every claim added is also appended to ``claims`` (when given) *as it
-    happens*, so a caller can roll the table back if this call raises.
+    This is one iteration of Algorithm 3's walk, factored out so
+    :func:`route_plan` and the columnar evaluator's per-node tables run
+    the identical code.  ``conversions`` is the cross-node dedup table and
+    is mutated in place.
     """
     name = node.name
     if pattern is not None:
@@ -164,9 +158,7 @@ def route_node(
         try:
             fwd, bwd = conversion_comm(src_layout, required)
         except InvalidTransition as exc:
-            if strict:
-                raise RoutingError(f"{src} -> {name}: {exc}") from exc
-            fwd, bwd = "all_gather", "reduce_scatter"
+            raise RoutingError(f"{src} -> {name}: {exc}") from exc
         # Hops into the token-shared R state carry the consumer's
         # backward semantics: a column-parallel consumer emits partial
         # input gradients that the hop must reduce (all_reduce when the
@@ -190,8 +182,6 @@ def route_node(
         if src_spec is None:
             continue
         conversions[key] = fwd or ""
-        if claims is not None:
-            claims.append((key, fwd or ""))
         if fwd is not None:
             shard.events.append(
                 CommEvent("forward", fwd, "tp", src_spec, True, name, src=src)
@@ -214,9 +204,6 @@ def route_plan(
     block: NodeGraph,
     plan: ShardingPlan,
     registry: PatternRegistry,
-    strict: bool = True,
-    base: Optional[RoutedPlan] = None,
-    changed: Optional[Iterable[str]] = None,
 ) -> RoutedPlan:
     """Elaborate *plan* over *block*; raises :class:`RoutingError` if invalid.
 
@@ -224,83 +211,32 @@ def route_plan(
     visits every node in topological order and fails the moment a hop has
     no pattern pair, so a completed walk *is* a connected chain of sharding
     patterns from every root to every leaf.
-
-    **Incremental fast path** — when ``base`` (a previously routed plan of
-    the same block at the same TP degree) and ``changed`` (every node whose
-    pattern assignment differs from ``base.plan``) are given, the walk
-    reuses the shards of every node topologically *before* the first
-    changed node and re-routes only from there.  A node's routing outcome
-    depends solely on its own pattern, its producers' layouts and the
-    conversion claims of earlier nodes, all of which are unchanged over
-    that prefix, so the result is identical to a full walk.
     """
-    with trace.span(
-        "route",
-        block=block.name,
-        tp=plan.tp_degree,
-        incremental=base is not None,
-    ):
-        return _route_plan(block, plan, registry, strict, base, changed)
-
-
-def _route_plan(
-    block: NodeGraph,
-    plan: ShardingPlan,
-    registry: PatternRegistry,
-    strict: bool,
-    base: Optional[RoutedPlan],
-    changed: Optional[Iterable[str]],
-) -> RoutedPlan:
-    tp = plan.tp_degree
-    routed = RoutedPlan(plan=plan)
-    layouts: Dict[str, str] = {}
-    order = block.topo_order()
-    start = 0
-
-    if base is not None and changed is not None:
-        if base.plan.tp_degree != tp:
-            raise ValueError("base plan must share the new plan's tp_degree")
-        if base.plan.zero_stage != plan.zero_stage:
-            raise ValueError("base plan must share the new plan's zero_stage")
-        pos = {n: i for i, n in enumerate(order)}
-        start = min((pos[n] for n in changed if n in pos), default=0)
-        for name in order[:start]:
-            shard = base.shards[name]
+    with trace.span("route", block=block.name, tp=plan.tp_degree):
+        tp = plan.tp_degree
+        routed = RoutedPlan(plan=plan)
+        layouts: Dict[str, str] = {}
+        for name in block.topo_order():
+            node = block.node(name)
+            input_layouts = [layouts[i] for i in node.inputs]
+            input_specs = [block.node(i).output_spec for i in node.inputs]
+            pattern = (
+                resolve_pattern(node, plan.pattern_for(name), registry, tp)
+                if node.weights
+                else None
+            )
+            shard = route_node(
+                node, pattern, input_layouts, input_specs, tp,
+                routed.conversions, zero_stage=plan.zero_stage,
+            )
+            layouts[name] = shard.output_layout
             routed.shards[name] = shard
             routed.order.append(name)
-            layouts[name] = shard.output_layout
-            node_claims = base.claims.get(name)
-            if node_claims:
-                routed.claims[name] = node_claims
-                for key, value in node_claims:
-                    routed.conversions[key] = value
 
-    for name in order[start:]:
-        node = block.node(name)
-        input_layouts = [layouts[i] for i in node.inputs]
-        input_specs = [block.node(i).output_spec for i in node.inputs]
-        pattern = (
-            resolve_pattern(node, plan.pattern_for(name), registry, tp)
-            if node.weights
-            else None
-        )
-        claims: List[Tuple[Tuple[str, str], str]] = []
-        shard = route_node(
-            node, pattern, input_layouts, input_specs, tp,
-            routed.conversions, strict=strict, claims=claims,
-            zero_stage=plan.zero_stage,
-        )
-        if claims:
-            routed.claims[name] = claims
-        layouts[name] = shard.output_layout
-        routed.shards[name] = shard
-        routed.order.append(name)
-
-    if strict:
         for leaf in block.leaves():
             if layouts.get(leaf.name) == Layout.P:
                 raise RoutingError(f"leaf {leaf.name} ends with a partial value")
-    return routed
+        return routed
 
 
 def resolve_pattern(

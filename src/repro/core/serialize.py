@@ -260,10 +260,6 @@ def routed_to_json(routed: RoutedPlan, indent: Optional[int] = 2) -> str:
             [src, layout, coll]
             for (src, layout), coll in routed.conversions.items()
         ],
-        "claims": {
-            name: [[src, layout, coll] for (src, layout), coll in claims]
-            for name, claims in routed.claims.items()
-        },
         "shards": shards,
     }
     return json.dumps(doc, indent=indent, sort_keys=True)
@@ -315,10 +311,6 @@ def routed_from_doc(
         routed.order = [str(n) for n in doc["order"]]
         routed.conversions = {
             (src, layout): coll for src, layout, coll in doc["conversions"]
-        }
-        routed.claims = {
-            name: [((src, layout), coll) for src, layout, coll in claims]
-            for name, claims in doc["claims"].items()
         }
         for name, sd in doc["shards"].items():
             routed.shards[name] = NodeShard(

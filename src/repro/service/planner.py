@@ -26,6 +26,7 @@ reservoir for p50/p99 in ``stats()`` even when tracing is disabled.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -147,12 +148,13 @@ class _Inflight:
 
 
 def _quantile(sample: List[float], q: float) -> float:
-    """Nearest-rank quantile; 0.0 on an empty sample."""
+    """Nearest-rank quantile (the ``ceil(q * n)``-th smallest value); 0.0
+    on an empty sample."""
     if not sample:
         return 0.0
     ordered = sorted(sample)
-    rank = min(len(ordered) - 1, max(0, int(q * len(ordered))))
-    return ordered[rank]
+    rank = min(len(ordered), max(1, math.ceil(q * len(ordered))))
+    return ordered[rank - 1]
 
 
 class PlannerService:

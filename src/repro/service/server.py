@@ -14,8 +14,10 @@ makes that safe under duplicate bursts) over four endpoints:
 =============  ====  ==================================================
 
 Errors map to status codes a retrying client can act on: 400 for a bad
-request (unknown preset, malformed doc, unknown plan label), 429 when
-admission control sheds load, 500 for a failed search.
+request (unknown preset, malformed doc, unknown plan label, a negative
+or non-numeric ``Content-Length``), 413 for a body over
+:data:`MAX_BODY_BYTES` (refused unread), 429 when admission control
+sheds load, 500 for a failed search.
 :class:`PlannerClient` is the matching urllib-only client used by
 ``repro plan --remote`` and ``repro simulate --remote``.
 """
@@ -33,6 +35,14 @@ from .planner import PlannerService, ServiceError, ServiceOverloadedError
 from .requests import PlanRequest, SimulateRequest
 
 __all__ = ["PlannerClient", "PlannerServer", "serve"]
+
+#: Largest request body the server reads; request documents are well
+#: under 1 kB, so anything bigger is refused before it is read.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BodyTooLarge(Exception):
+    """The declared request body exceeds :data:`MAX_BODY_BYTES`."""
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -53,11 +63,23 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_doc(self) -> Dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        length = int(declared) if declared.strip().isdigit() else -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body is left unread, so the connection cannot carry
+            # another request: reply, then close it.
+            self.close_connection = True
+            if length < 0:
+                raise ValueError(f"invalid Content-Length: {declared!r}")
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         raw = self.rfile.read(length) if length else b"{}"
         doc = json.loads(raw.decode("utf-8"))
         if not isinstance(doc, dict):
@@ -88,6 +110,9 @@ class _Handler(BaseHTTPRequestHandler):
                 response = self.service.simulate(SimulateRequest.from_doc(doc))
             else:
                 response = self.service.plan(PlanRequest.from_doc(doc))
+        except _BodyTooLarge as exc:
+            self._reply(413, {"error": str(exc)})
+            return
         except ServiceOverloadedError as exc:
             self._reply(429, {"error": str(exc)})
             return

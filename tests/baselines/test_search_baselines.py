@@ -22,6 +22,54 @@ def small_t5_nodes():
     )
 
 
+#: Golden MCMC chains on ``small_t5_nodes`` as (mesh, kwargs, best_cost,
+#: accepted, invalid, trajectory), recorded when each proposal's routing
+#: reused the accepted plan's prefix: one full walk per trial must
+#: reproduce them exactly.
+FLEXFLOW_GOLDEN = (
+    (
+        "paper_testbed", dict(budget=40, seed=5, tp_degree=4),
+        0.009157398098751771, 28, 2,
+        [
+            0.011029487380818765, 0.011029487380818765, 0.011588507218441312,
+            0.011588507218441312, 0.011588507218441312, 0.011029487380818765,
+            0.011512053523779854, 0.011512053523779854, 0.011512053523779854,
+            0.011512053523779854, 0.011512053523779854, 0.011512053523779854,
+            0.011512053523779854, 0.011029487380818765, 0.011029487380818765,
+            0.011029487380818765, 0.014987715551774645, 0.016679804833841638,
+            0.016679804833841638, 0.016679804833841638, 0.016679804833841638,
+            0.016679804833841638, 0.018371894115908637, 0.018371894115908637,
+            0.022330122286864512, 0.022812688429825607, 0.022812688429825607,
+            0.022812688429825607, 0.022812688429825607, 0.022812688429825607,
+            0.022812688429825607, 0.03306892597157285, 0.03306892597157285,
+            0.022812688429825607, 0.022812688429825607, 0.022812688429825607,
+            0.02473784715633704, 0.02473784715633704, 0.022471708267448154,
+            0.020677893724964494,
+        ],
+    ),
+    (
+        "2x4", dict(budget=40, seed=1),
+        0.004362195964213613, 28, 0,
+        [
+            0.004362195964213613, 0.004362195964213613, 0.004362195964213613,
+            0.004362195964213613, 0.004362195964213613, 0.004362195964213613,
+            0.004362195964213613, 0.004362195964213613, 0.004362195964213613,
+            0.004816924339417861, 0.00521165271462211, 0.00521165271462211,
+            0.006220915812048579, 0.006220915812048579, 0.006220915812048579,
+            0.006220915812048579, 0.006220915812048579, 0.007122681032142151,
+            0.007558662446438418, 0.007953390821642668, 0.008962653919069138,
+            0.009050114933162276, 0.009050114933162276, 0.009050114933162276,
+            0.008568349713068704, 0.008568349713068704, 0.008568349713068704,
+            0.008568349713068704, 0.008568349713068704, 0.008568349713068704,
+            0.008615524293910767, 0.008615524293910767, 0.008615524293910767,
+            0.008199577939026039, 0.008199577939026039, 0.008203631584141311,
+            0.008598359959345561, 0.008598359959345561, 0.009500125179439132,
+            0.009910541498025472,
+        ],
+    ),
+)
+
+
 class TestAlpaLike:
     def test_returns_candidates_and_best(self, small_t5_nodes):
         res = alpa_like_search(small_t5_nodes, paper_testbed(), num_candidates=8)
@@ -115,6 +163,16 @@ class TestFlexFlowLike:
     def test_tp_degree_validation(self, small_t5_nodes):
         with pytest.raises(ValueError):
             flexflow_like_search(small_t5_nodes, Mesh(1, 4), tp_degree=3)
+
+    @pytest.mark.parametrize("mesh_name,kwargs,best,accepted,invalid,traj",
+                             FLEXFLOW_GOLDEN)
+    def test_golden_chains(self, small_t5_nodes, mesh_name, kwargs, best,
+                           accepted, invalid, traj):
+        mesh = paper_testbed() if mesh_name == "paper_testbed" else Mesh(2, 4)
+        res = flexflow_like_search(small_t5_nodes, mesh, **kwargs)
+        assert res.trajectory == traj
+        assert res.best_cost == best
+        assert (res.accepted, res.invalid) == (accepted, invalid)
 
     def test_mcmc_beats_or_matches_pure_dp(self, small_t5_nodes):
         """With enough trials the chain should find a plan at least as good

@@ -51,6 +51,9 @@ def _assert_tiers_identical(results):
     # valid_plans may undercount the reference loop — but never exceed.
     assert got.valid_plans <= ref.valid_plans
     assert ref.bound_skipped == 0
+    # every candidate is one evaluator row, computed exactly once
+    assert got.rows_priced == got.candidates_examined
+    assert ref.rows_priced == 0
 
 
 @pytest.mark.parametrize("preset", SMALL_PRESETS)

@@ -13,6 +13,7 @@ from repro.core import (
     envelope_to_json,
     plan_cache_key,
     plan_request,
+    routed_from_json,
     routed_to_json,
     sim_envelope_from_json,
     sim_envelope_to_json,
@@ -70,6 +71,41 @@ def test_verify_on_load_catches_tampered_payload(envelope):
     shard["output_layout"] = "forged_layout"
     with pytest.raises(PlanLoadError, match="static verification"):
         envelope_from_json(json.dumps(doc), ng, expected_key=key)
+
+
+def _legacy_claims(routed):
+    """The per-consumer ``claims`` table older writers stored beside the
+    conversions: each consumer lists the ``[src, layout, collective]``
+    entries it added, in routing order."""
+    claims, seen = {}, set()
+    for name in routed.order:
+        shard = routed.shards[name]
+        for ev in shard.events:
+            key = (ev.src, shard.input_layout)
+            if ev.src and key not in seen:
+                seen.add(key)
+                claims.setdefault(name, []).append(
+                    [ev.src, shard.input_layout, routed.conversions[key]]
+                )
+    return claims
+
+
+def test_documents_with_legacy_claims_still_load(envelope):
+    key, text, ng, search = envelope
+    claims = _legacy_claims(search.routed)
+    assert claims  # clip_base@2x8 routes real conversions
+
+    routed_doc = json.loads(routed_to_json(search.routed))
+    routed_doc["claims"] = claims
+    old_routed = routed_from_json(json.dumps(routed_doc), ng)  # verifies
+    assert old_routed == routed_from_json(routed_to_json(search.routed), ng)
+
+    env_doc = json.loads(text)
+    env_doc["payload"]["claims"] = claims
+    old_env = envelope_from_json(json.dumps(env_doc), ng, expected_key=key)
+    new_env = envelope_from_json(text, ng, expected_key=key)
+    assert old_env.routed == new_env.routed
+    assert routed_to_json(old_env.routed) == routed_to_json(search.routed)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """HTTP surface: endpoints, status codes, client, graceful shutdown."""
 
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -13,6 +14,7 @@ from repro.service import (
     PlanRequest,
     ServiceError,
 )
+from repro.service.server import MAX_BODY_BYTES
 
 REQ = PlanRequest(model="clip_base", mesh_nodes=2, mesh_gpus=8,
                   batch_tokens=8192)
@@ -65,6 +67,37 @@ def test_bad_requests_get_400(server):
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(req, timeout=10)
     assert err.value.code == 400
+
+
+def _raw_post(server, content_length):
+    """Send a keep-alive POST /plan header with no body; return the reply
+    bytes up to the server closing the connection (or the timeout)."""
+    host, port = server.address
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(
+            f"POST /plan HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        reply = b""
+        while True:
+            chunk = sock.recv(4096)  # socket.timeout fails the test
+            if not chunk:
+                return reply
+            reply += chunk
+
+
+@pytest.mark.parametrize("content_length,status", [
+    ("-1", 400),
+    ("twelve", 400),
+    (str(MAX_BODY_BYTES + 1), 413),
+])
+def test_unframeable_body_is_refused_unread(server, content_length, status):
+    reply = _raw_post(server, content_length)
+    assert reply.startswith(f"HTTP/1.1 {status} ".encode()), reply[:80]
+    assert b"Connection: close" in reply
+    # the handler thread is free again: the service still answers
+    assert PlannerClient(server.url).health()
 
 
 @pytest.mark.parametrize("field,value,named", [

@@ -195,3 +195,14 @@ def test_stats_shape(tmp_path):
     assert stats["latency"]["p50_s"] > 0
     assert stats["latency"]["p99_s"] >= stats["latency"]["p50_s"]
     assert stats["queue"] == {"inflight": 0, "limit": 32}
+
+
+def test_latency_quantiles_are_nearest_rank():
+    from repro.service.planner import _quantile
+
+    assert _quantile([4.0, 1.0, 3.0, 2.0], 0.50) == 2.0
+    hundred = [float(v) for v in range(1, 101)]
+    assert _quantile(hundred, 0.50) == 50.0
+    assert _quantile(hundred, 0.99) == 99.0
+    assert _quantile([7.0], 0.99) == 7.0
+    assert _quantile([], 0.50) == 0.0
