@@ -113,7 +113,8 @@ def _collective_time_cached(
     group-signature, use_efficiency)`` — distinct :class:`DeviceGroup`
     objects with the same shape share one entry.  Algorithm 2 prices the
     same tensors on the same three groups thousands of times per family;
-    memoizing here is the base layer of the candidate-evaluation engine.
+    both search tiers, the columnar evaluator and the reference loop,
+    price through this cache.
     """
     volume = collective_wire_bytes(kind, bytes_full, group_size)
     if volume == 0.0:

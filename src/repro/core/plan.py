@@ -10,6 +10,7 @@ cost model, the simulator and the numeric runtime all consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..graph import TensorSpec
@@ -58,8 +59,17 @@ class ShardingPlan:
     def as_dict(self) -> Dict[str, str]:
         return dict(self.assignment)
 
+    @cached_property
+    def _patterns(self) -> Dict[str, str]:
+        # Built once per plan: routing and the verifier look up every
+        # weight node, and a rebuild per lookup makes their walks
+        # quadratic.  cached_property writes the instance __dict__
+        # directly, which a frozen dataclass allows; fields, equality and
+        # hash are unchanged.
+        return dict(self.assignment)
+
     def pattern_for(self, node_name: str) -> str:
-        return self.as_dict.get(node_name, "replicate")
+        return self._patterns.get(node_name, "replicate")
 
     @property
     def num_sharded(self) -> int:

@@ -12,6 +12,17 @@ and re-simulates bit-identically.  Cache fields declared with
 always reinitialised empty on load — a serialised cache could silently
 replay tapes priced for a different library version.
 
+A routed document has one writer and one oracle.  The oracle,
+:func:`_routed_doc`, builds the document as a dict; the contract is
+``json.dumps(_routed_doc(r), indent=indent, sort_keys=True)``.  The
+writer (:func:`routed_to_json`) emits those bytes from text templates,
+one per shard structure, each derived by ``json.dumps`` itself from a
+skeleton with sentinel leaves, and encodes the leaves as json does; a
+plan holding anything else is written by the oracle, so json's output
+and json's errors are kept.  A cache envelope (:func:`envelope_to_json`)
+splices the compact routed text into its header's text, so the plan is
+encoded once and never parsed back.
+
 The schema is versioned so saved plans survive library evolution, and
 loading validates against the target NodeGraph when one is supplied (a
 plan for a different architecture fails fast instead of silently
@@ -23,8 +34,14 @@ it.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import json
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+import re
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
+from types import SimpleNamespace
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from ..graph import TensorSpec
 from .graphnode import NodeGraph
@@ -218,51 +235,328 @@ def _event_from_doc(doc) -> CommEvent:
         raise PlanLoadError(f"invalid comm event {doc!r}: {exc}") from exc
 
 
-def routed_to_json(routed: RoutedPlan, indent: Optional[int] = 2) -> str:
-    """Serialise a fully routed plan to JSON.
-
-    Every ``compare=False`` cache field (``_sim_cache`` today, anything
-    added later) is skipped by construction: the document is built from
-    the dataclass's *comparable* fields only.
-    """
-    skip = _cache_field_names(RoutedPlan)
-    assert "_sim_cache" in skip  # the field this guard exists for
-    shards = {}
-    for name, s in routed.shards.items():
-        shards[name] = {
-            "name": s.name,
-            "kind": s.kind,
-            "pattern": s.pattern,
-            "input_layout": s.input_layout,
-            "output_layout": s.output_layout,
-            "local_weight_bytes": s.local_weight_bytes,
-            "full_weight_bytes": s.full_weight_bytes,
-            "local_parameters": s.local_parameters,
-            "compute_share": s.compute_share,
-            "flops": s.flops,
-            "bwd_input_reduction": s.bwd_input_reduction,
-            "output_spec": _spec_to_doc(s.output_spec),
-            "events": [_event_to_doc(ev) for ev in s.events],
-        }
-    plan_doc = {
-        "name": routed.plan.name,
-        "tp_degree": routed.plan.tp_degree,
-        "assignment": dict(routed.plan.assignment),
+def _shard_to_doc(s: NodeShard) -> Dict:
+    return {
+        "name": s.name,
+        "kind": s.kind,
+        "pattern": s.pattern,
+        "input_layout": s.input_layout,
+        "output_layout": s.output_layout,
+        "local_weight_bytes": s.local_weight_bytes,
+        "full_weight_bytes": s.full_weight_bytes,
+        "local_parameters": s.local_parameters,
+        "compute_share": s.compute_share,
+        "flops": s.flops,
+        "bwd_input_reduction": s.bwd_input_reduction,
+        "output_spec": _spec_to_doc(s.output_spec),
+        "events": [_event_to_doc(ev) for ev in s.events],
     }
-    if routed.plan.zero_stage:
-        plan_doc["zero_stage"] = routed.plan.zero_stage
-    doc = {
+
+
+def _conversion_rows(routed: RoutedPlan) -> List[List[str]]:
+    # Insertion order is routing order, which the document records as is.
+    return [
+        [src, layout, coll]
+        for (src, layout), coll in routed.conversions.items()
+    ]
+
+
+def _routed_frame(plan, assignment, order, conversions, shards) -> Dict:
+    """The routed document's top two levels around its four containers."""
+    plan_doc = {
+        "name": plan.name,
+        "tp_degree": plan.tp_degree,
+        "assignment": assignment,
+    }
+    if plan.zero_stage:
+        plan_doc["zero_stage"] = plan.zero_stage
+    return {
         "schema": SCHEMA_VERSION,
         "kind": "repro.routed_plan",
         "plan": plan_doc,
-        "order": list(routed.order),
-        "conversions": [
-            [src, layout, coll]
-            for (src, layout), coll in routed.conversions.items()
-        ],
+        "order": order,
+        "conversions": conversions,
         "shards": shards,
     }
-    return json.dumps(doc, indent=indent, sort_keys=True)
+
+
+def _routed_doc(routed: RoutedPlan) -> Dict:
+    """The routed-plan document as a dict: the writer's oracle.
+
+    ``json.dumps(_routed_doc(r), indent=indent, sort_keys=True)`` is, byte
+    for byte, what :func:`routed_to_json` writes.  Every ``compare=False``
+    cache field (``_sim_cache`` today, anything added later) is skipped by
+    construction: the document is built from the dataclass's *comparable*
+    fields only.
+    """
+    skip = _cache_field_names(RoutedPlan)
+    assert "_sim_cache" in skip  # the field this guard exists for
+    return _routed_frame(
+        routed.plan,
+        dict(routed.plan.assignment),
+        list(routed.order),
+        _conversion_rows(routed),
+        {name: _shard_to_doc(s) for name, s in sorted(routed.shards.items())},
+    )
+
+
+# -- the writer ---------------------------------------------------------------
+#
+# json.dumps with an indent always runs CPython's pure-Python encoder, and a
+# routed document is thousands of small dicts.  The writer fills text
+# templates instead.  Each template is json.dumps's own output for a
+# skeleton whose leaves are sentinel strings "@<tag>@", dumped at the depth
+# the piece sits at in the document and turned into a %-format string, so
+# the writer never spells whitespace or punctuation itself.  The leaves are
+# encoded by json too, all of them in one pass of its C encoder
+# (_encode_leaves).  A value outside json's exact scalar types (a subclass,
+# a container, a non-string key, anything json rejects) hands the whole
+# plan to the oracle, so output and errors stay json's.
+
+_SENTINEL = re.compile(r'"@(\d+)@"')
+_SHARD_LEAVES = (
+    "name", "kind", "pattern", "input_layout", "output_layout",
+    "local_weight_bytes", "full_weight_bytes", "local_parameters",
+    "compute_share", "flops", "bwd_input_reduction",
+)
+_EVENT_LEAVES = (
+    "phase", "collective", "axis", "scales_with_batch", "node",
+    "overlappable", "src",
+)
+_shard_scalars = attrgetter(*_SHARD_LEAVES)
+_event_scalars = attrgetter(*_EVENT_LEAVES)
+
+#: json's scalar types; anything else, subclasses included, is irregular
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_STR = frozenset({str})
+
+#: json's own encoder with a newline between list items.  Over a list of
+#: scalars it writes ``"[" + "\n".join(texts) + "]"``; no scalar's text
+#: holds a raw newline (strings escape it), so splitting on newlines
+#: recovers each leaf's text exactly.
+_LEAF_ENCODER = json.JSONEncoder(separators=("\n", ":"))
+
+
+class _Irregular(Exception):
+    """A plan the writer cannot encode exactly; the oracle writes it."""
+
+
+def _encode_leaves(leaves: List) -> List[str]:
+    """json's text of every leaf, in order, from one C-encoder pass."""
+    if not _SCALARS.issuperset(map(type, leaves)):
+        raise _Irregular
+    if not leaves:
+        return []
+    return _LEAF_ENCODER.encode(leaves)[1:-1].split("\n")
+
+
+def _nested_text(obj, indent: Optional[int], depth: int) -> str:
+    """*obj* as ``json.dumps`` writes it *depth* containers deep."""
+    for _ in range(depth):
+        obj = [obj]
+    text = json.dumps(obj, indent=indent, sort_keys=True)
+    for _ in range(depth):
+        text = text[1:-1].strip()
+    return text
+
+
+class _Template(NamedTuple):
+    """A %-format string with one ``%s`` per leaf, and the getter putting
+    leaves given in fill order into the text's order."""
+
+    text: str
+    order: Callable
+    size: int
+
+    def fill(self, values) -> str:
+        return self.text % self.order(values)
+
+
+def _template(skeleton, indent: Optional[int], depth: int) -> _Template:
+    """*skeleton*'s text at *depth*, its sentinels ``"@<i>@"`` (numbered in
+    fill order) turned into fields."""
+    text = _nested_text(skeleton, indent, depth).replace("%", "%%")
+    fields = [int(i) for i in _SENTINEL.findall(text)]
+    # one field: itemgetter returns the bare text, which % also accepts
+    return _Template(_SENTINEL.sub("%s", text), itemgetter(*fields),
+                     len(fields))
+
+
+def _tags():
+    """Sentinels in fill order: ``"@0@"``, ``"@1@"``, ..."""
+    return map("@{}@".format, itertools.count())
+
+
+class _Container(NamedTuple):
+    """How json writes a list or dict at one depth."""
+
+    empty: str
+    head: str
+    colon: str       # between a key and its value (dicts only)
+    sep: str
+    tail: str
+
+    def join(self, items: List[str]) -> str:
+        return self.head + self.sep.join(items) + self.tail if items else self.empty
+
+
+def _container(indent: Optional[int], depth: int, mapping: bool) -> _Container:
+    if mapping:
+        sample = _nested_text({"@0@": "@1@", "@2@": "@3@"}, indent, depth)
+        head, colon, sep, _, tail = _SENTINEL.split(sample)[::2]
+    else:
+        sample = _nested_text(["@0@", "@1@"], indent, depth)
+        head, sep, tail = _SENTINEL.split(sample)[::2]
+        colon = ""
+    empty = _nested_text({} if mapping else [], indent, depth)
+    return _Container(empty, head, colon, sep, tail)
+
+
+class _Layout(NamedTuple):
+    """Every template of one indent except the per-shard ones."""
+
+    top: Tuple[_Template, _Template]   # without / with ``zero_stage``
+    row: _Template                     # one conversions entry
+    assignment: _Container
+    order: _Container
+    conversions: _Container
+    shards: _Container
+
+
+def _top_template(indent: Optional[int], zero: bool) -> _Template:
+    """Fields: plan name, tp degree, [zero stage,] then the assignment,
+    order, conversions and shards containers."""
+    tags = _tags()
+    plan = SimpleNamespace(name=next(tags), tp_degree=next(tags),
+                           zero_stage=next(tags) if zero else 0)
+    skeleton = _routed_frame(plan, next(tags), next(tags), next(tags),
+                             next(tags))
+    return _template(skeleton, indent, 0)
+
+
+@functools.lru_cache(maxsize=8)
+def _layout(indent: Optional[int]) -> _Layout:
+    tags = _tags()
+    return _Layout(
+        top=(_top_template(indent, False), _top_template(indent, True)),
+        row=_template([next(tags) for _ in range(3)], indent, 2),
+        assignment=_container(indent, 2, mapping=True),
+        order=_container(indent, 1, mapping=False),
+        conversions=_container(indent, 1, mapping=False),
+        shards=_container(indent, 1, mapping=True),
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _shard_template(
+    indent: Optional[int], signature: Tuple[int, ...]
+) -> _Template:
+    """The template of a shard whose output spec and events have the spec
+    ranks in *signature* (-1 for no spec).  Its fields are in the order
+    :func:`_shard_leaves` appends the leaves."""
+    tags = _tags()
+
+    def spec(rank):
+        if rank < 0:
+            return None
+        shape = [next(tags) for _ in range(rank)]
+        return SimpleNamespace(shape=shape, dtype=next(tags), name=next(tags))
+
+    out_rank, *event_ranks = signature
+    shard = SimpleNamespace(
+        **{f: next(tags) for f in _SHARD_LEAVES},
+        output_spec=spec(out_rank),
+        events=[
+            SimpleNamespace(**{f: next(tags) for f in _EVENT_LEAVES},
+                            spec=spec(rank))
+            for rank in event_ranks
+        ],
+    )
+    return _template(_shard_to_doc(shard), indent, 2)
+
+
+def _spec_leaves(spec: Optional[TensorSpec], leaves: List) -> int:
+    """Append *spec*'s leaves; returns its rank (-1 for no spec)."""
+    if spec is None:
+        return -1
+    shape = tuple(spec.shape)
+    leaves += shape
+    leaves.append(spec.dtype)
+    leaves.append(spec.name)
+    return len(shape)
+
+
+def _shard_leaves(s: NodeShard, leaves: List) -> Tuple[int, ...]:
+    """Append *s*'s leaves in template order; returns its signature."""
+    leaves += _shard_scalars(s)
+    signature = [_spec_leaves(s.output_spec, leaves)]
+    for ev in s.events:
+        leaves += _event_scalars(ev)
+        signature.append(_spec_leaves(ev.spec, leaves))
+    return tuple(signature)
+
+
+def _write_routed(routed: RoutedPlan, indent: Optional[int]) -> str:
+    layout = _layout(indent)
+    plan = routed.plan
+    assignment = dict(plan.assignment)
+    if not (_STR.issuperset(map(type, assignment))
+            and _STR.issuperset(map(type, routed.shards))):
+        raise _Irregular  # json would convert the keys, then sort again
+    assignment = sorted(assignment.items())
+    order = list(routed.order)
+    rows = _conversion_rows(routed)
+    zero = bool(plan.zero_stage)
+
+    # every leaf of the document, in the order the pieces below consume them
+    leaves = [plan.name, plan.tp_degree, plan.zero_stage][:2 + zero]
+    leaves += itertools.chain.from_iterable(assignment)
+    leaves += order
+    leaves += itertools.chain.from_iterable(rows)
+    shards = []
+    for name, s in sorted(routed.shards.items()):
+        leaves.append(name)
+        shards.append(_shard_template(indent, _shard_leaves(s, leaves)))
+    texts = iter(_encode_leaves(leaves))
+    del leaves
+
+    def take(n):
+        return tuple(itertools.islice(texts, n))
+
+    head = take(2 + zero)
+    colon = layout.assignment.colon
+    pairs = iter(take(2 * len(assignment)))
+    assignment = [k + colon + v for k, v in zip(pairs, pairs)]
+    order = take(len(order))
+    row = layout.row
+    rows = [row.fill(take(row.size)) for _ in rows]
+    colon = layout.shards.colon
+    shards = [next(texts) + colon + t.fill(take(t.size)) for t in shards]
+    del texts  # the leaf texts, free before the document is assembled
+    return layout.top[zero].fill([
+        *head,
+        layout.assignment.join(assignment),
+        layout.order.join(order),
+        layout.conversions.join(rows),
+        layout.shards.join(shards),
+    ])
+
+
+def routed_to_json(routed: RoutedPlan, indent: Optional[int] = 2) -> str:
+    """Serialise a fully routed plan to JSON.
+
+    The output is byte-identical to ``json.dumps(doc, indent=indent,
+    sort_keys=True)`` of the oracle document (:func:`_routed_doc`); the
+    template writer above produces it without json's pure-Python indent
+    encoder.  Plans the writer cannot encode exactly (see
+    :class:`_Irregular`), and non-integer indents, go through the oracle.
+    """
+    if indent is None or type(indent) is int:
+        try:
+            return _write_routed(routed, indent)
+        except _Irregular:
+            pass
+    return json.dumps(_routed_doc(routed), indent=indent, sort_keys=True)
 
 
 def routed_from_json(
@@ -491,7 +785,7 @@ class CacheEnvelope:
     created: str                 # ISO-8601 UTC, stamped by the *caller*
     routed: RoutedPlan
 
-    def to_json(self, indent: Optional[int] = None) -> str:
+    def to_json(self) -> str:
         """Re-serialise this envelope (inverse of :func:`envelope_from_json`)."""
         return envelope_to_json(
             self.routed,
@@ -501,8 +795,25 @@ class CacheEnvelope:
             timings=self.timings,
             cost=self.cost,
             created=self.created,
-            indent=indent,
         )
+
+
+def _splice(doc: Dict, field: str, text: str) -> str:
+    """``json.dumps(doc, sort_keys=True)`` with *text* as ``doc[field]``'s
+    already-encoded value.
+
+    The field is dumped as a marker string that is then replaced; a header
+    value that happens to contain the quoted marker lengthens it, so the
+    one occurrence replaced is always the field's own.
+    """
+    marker = "@payload@"
+    while True:
+        doc[field] = marker
+        out = json.dumps(doc, sort_keys=True)
+        quoted = encode_basestring_ascii(marker)
+        if out.count(quoted) == 1:
+            return out.replace(quoted, text)
+        marker += "@"
 
 
 def envelope_to_json(
@@ -514,15 +825,17 @@ def envelope_to_json(
     timings: Dict[str, float],
     cost: float,
     created: str = "",
-    indent: Optional[int] = None,
 ) -> str:
-    """Wrap a routed plan in a versioned cache envelope."""
+    """Wrap a routed plan in a versioned cache envelope.
+
+    The payload is :func:`routed_to_json`'s compact text spliced into the
+    header's, so the plan is encoded once and never parsed back.
+    """
     doc = _envelope_header_doc(
         _PLAN_ENVELOPE, key, fingerprints, engine, timings, created
     )
     doc["cost"] = cost
-    doc["payload"] = json.loads(routed_to_json(routed, indent=None))
-    return json.dumps(doc, indent=indent, sort_keys=True)
+    return _splice(doc, "payload", routed_to_json(routed, indent=None))
 
 
 def envelope_from_json(
@@ -589,7 +902,7 @@ class SimEnvelope:
     created: str                 # ISO-8601 UTC, stamped by the *caller*
     profiles: List[Dict]
 
-    def to_json(self, indent: Optional[int] = None) -> str:
+    def to_json(self) -> str:
         return sim_envelope_to_json(
             self.profiles,
             key=self.key,
@@ -597,7 +910,6 @@ class SimEnvelope:
             engine=self.engine,
             timings=self.timings,
             created=self.created,
-            indent=indent,
         )
 
 
@@ -609,14 +921,13 @@ def sim_envelope_to_json(
     engine: str,
     timings: Dict[str, float],
     created: str = "",
-    indent: Optional[int] = None,
 ) -> str:
     """Wrap per-plan simulation profiles in a versioned cache envelope."""
     doc = _envelope_header_doc(
         _SIM_ENVELOPE, key, fingerprints, engine, timings, created
     )
     doc["profiles"] = profiles
-    return json.dumps(doc, indent=indent, sort_keys=True)
+    return json.dumps(doc, sort_keys=True)
 
 
 def _check_sim_profile(entry) -> Dict:
