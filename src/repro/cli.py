@@ -31,8 +31,9 @@ Commands
     ``cache stats`` lists the daemon's disk-cached plans (key, engine
     tier, cost, search time); ``cache clear`` deletes them.
 
-``plan`` and ``simulate`` run the plan verifier automatically (it is
-rule-based and cheap); ``--no-verify`` is the escape hatch.  ``plan
+``plan``, ``simulate`` and ``verify plan`` always run the plan verifier
+(it is rule-based and cheap): a saved plan is parsed structure-only and
+the verifier reports its findings, exiting 1.  ``plan
 --trace out.json`` additionally records the whole pipeline (prune,
 enumerate, route, price, rewrite, simulate) as a Chrome trace merged
 with the simulated iteration's timeline — open it in Perfetto.
@@ -50,6 +51,7 @@ from .core import (
     CostConfig,
     CostModel,
     DEFAULT_REGISTRY,
+    PlanLoadError,
     RoutingError,
     coarsen,
     load_plan,
@@ -145,6 +147,31 @@ def _print_verification(report, label: str) -> None:
         print(report.describe())
 
 
+def _read_plan_file(path: str):
+    """Parse a saved plan's structure only, so the caller's verifier can
+    report every finding; an unreadable or malformed document exits with
+    one line naming the file."""
+    try:
+        return load_plan(path)
+    except OSError as exc:
+        raise SystemExit(f"cannot read plan {path!r}: {exc}")
+    except PlanLoadError as exc:
+        raise SystemExit(f"cannot load plan {path!r}: {exc}")
+
+
+def _route_or_report(ng, plan, mesh, source: str):
+    """Route *plan*, or print why not (with :func:`verify_plan`'s findings)
+    and return ``None``."""
+    try:
+        return route_plan(ng, plan, DEFAULT_REGISTRY)
+    except RoutingError as exc:
+        from .verify import verify_plan
+
+        print(f"plan ({source}): routing rejects it — {exc}")
+        _print_verification(verify_plan(ng, plan, mesh), "plan")
+        return None
+
+
 def _run_remote_plan(args) -> int:
     import json
 
@@ -223,14 +250,13 @@ def _run_plan(args, trimmed, trim_record, ng, mesh, cfg, chrome) -> int:
     print(f"cost: {result.cost * 1e3:.2f} ms (communication objective)")
     print()
     print(render_plan(ng, result.plan, title="discovered plan"))
-    if not args.no_verify:
-        from .verify import verify_routed
+    from .verify import verify_routed
 
-        report = verify_routed(ng, result.routed, mesh, cfg)
-        print()
-        _print_verification(report, "routed plan")
-        if not report.ok:
-            return 1
+    report = verify_routed(ng, result.routed, mesh, cfg)
+    print()
+    _print_verification(report, "routed plan")
+    if not report.ok:
+        return 1
     if args.output:
         save_plan(result.plan, args.output)
         print(f"\nplan saved to {args.output}")
@@ -315,18 +341,17 @@ def cmd_simulate(args) -> int:
     if args.plan in NAMED_PLANS:
         plan = NAMED_PLANS[args.plan](ng, args.tp)
     else:
-        plan = load_plan(args.plan, ng, verify=not args.no_verify)
-    routed = route_plan(ng, plan, DEFAULT_REGISTRY)
-    if not args.no_verify:
-        from .verify import verify_routed
+        plan = _read_plan_file(args.plan)
+    routed = _route_or_report(ng, plan, mesh, args.plan)
+    if routed is None:
+        return 1
+    from .verify import verify_routed
 
-        report = verify_routed(ng, routed, mesh, cfg)
-        if not report.ok:
-            _print_verification(report, "routed plan")
-            return 1
-    prof = simulate_iteration(
-        routed, mesh, cfg, engine=args.engine, verify=not args.no_verify
-    )
+    report = verify_routed(ng, routed, mesh, cfg)
+    if not report.ok:
+        _print_verification(report, "routed plan")
+        return 1
+    prof = simulate_iteration(routed, mesh, cfg, engine=args.engine)
     mem = memory_per_device(routed, mesh, cfg)
     cost = CostModel(mesh, cfg).plan_cost(routed)
     print(format_table(
@@ -346,7 +371,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify_plan(args) -> int:
-    from .verify import verify_plan, verify_rewrite, verify_routed
+    from .verify import verify_rewrite, verify_routed
 
     _, trimmed, record, ng = _prep(args.model)
     mesh = _parse_mesh(args.mesh, args.fabric)
@@ -359,20 +384,11 @@ def cmd_verify_plan(args) -> int:
         plan = NAMED_PLANS[args.plan](ng, args.tp)
         source = args.plan
     else:
-        # verify=False: the point of this command is to *report* problems,
-        # not to have the loader raise on the first one
-        try:
-            plan = load_plan(args.plan, ng, verify=False)
-        except OSError as exc:
-            raise SystemExit(f"cannot read plan {args.plan!r}: {exc}")
+        plan = _read_plan_file(args.plan)
         source = args.plan
 
-    report = verify_plan(ng, plan, mesh)
-    try:
-        routed = route_plan(ng, plan, DEFAULT_REGISTRY)
-    except RoutingError as exc:
-        print(f"plan ({source}): routing rejects it — {exc}")
-        _print_verification(report, "plan")
+    routed = _route_or_report(ng, plan, mesh, source)
+    if routed is None:
         return 1
     report = verify_routed(ng, routed, mesh, cfg)
     rewrite = rewrite_graph(
@@ -535,8 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "optimizer state 1/dp, stage 2 also shards "
                         "gradients (bare --zero means stage 1)")
     p.add_argument("-o", "--output", help="save the plan as JSON")
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip the static plan verifier")
     p.add_argument("--trace", metavar="FILE",
                    help="record the pipeline as a Chrome trace (merged "
                         "with the simulated iteration; open in Perfetto)")
@@ -558,9 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulation tier: the vectorized columnar tier "
                         "(default) or the reference event loop — "
                         "bit-identical")
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip the static plan verifier (and the columnar "
-                        "tape invariant checks)")
     p.add_argument("--remote", metavar="URL",
                    help="send the request to a running planner daemon's "
                         "POST /simulate (see 'repro serve')")

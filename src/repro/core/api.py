@@ -213,7 +213,6 @@ def auto_parallel(
     cost_config: Optional[CostConfig] = None,
     packing: Optional[PackingConfig] = None,
     use_pruning: bool = True,
-    verify: bool = True,
     zero_stage: int = 0,
 ) -> ParallelizedModel:
     """Derive and apply the best data/tensor-parallel plan for *model*.
@@ -223,12 +222,10 @@ def auto_parallel(
     (default: 1, one node's GPUs, and the whole mesh), ``use_pruning=False``
     searches the unpruned graph (the ablation baseline).
 
-    ``verify=True`` (the default) runs the static verifier
-    (:mod:`repro.verify`) over the routed plan and the rewritten graph
-    before returning; a plan violating a sharding invariant raises
-    :class:`repro.verify.PlanVerificationError` instead of silently
-    producing a wrong program.  The check is rule-based and cheap —
-    ``verify=False`` is the escape hatch, not an optimisation.
+    The static verifier (:mod:`repro.verify`) always runs over the routed
+    plan and the rewritten graph before returning; a plan violating a
+    sharding invariant raises :class:`repro.verify.PlanVerificationError`
+    instead of silently producing a wrong program.
     """
     mesh = split(mesh)
     cost_config = cost_config or CostConfig(
@@ -255,20 +252,19 @@ def auto_parallel(
         registry=registry,
     )
     breakdown = CostModel(mesh, cost_config).estimate(search.routed)
-    if verify:
-        # Lazy import keeps repro.core's package init acyclic (the verifier
-        # imports back into core).
-        from ..verify import verify_rewrite, verify_routed
+    # Lazy import keeps repro.core's package init acyclic (the verifier
+    # imports back into core).
+    from ..verify import verify_rewrite, verify_routed
 
-        report = verify_routed(
-            node_graph, search.routed, mesh, cost_config, registry=registry
+    report = verify_routed(
+        node_graph, search.routed, mesh, cost_config, registry=registry
+    )
+    report.extend(
+        verify_rewrite(
+            node_graph, search.routed, rewrite, packing=cost_config.packing
         )
-        report.extend(
-            verify_rewrite(
-                node_graph, search.routed, rewrite, packing=cost_config.packing
-            )
-        )
-        report.raise_if_failed()
+    )
+    report.raise_if_failed()
     return ParallelizedModel(
         mesh=mesh,
         search=search,

@@ -23,12 +23,12 @@ and json's errors are kept.  A cache envelope (:func:`envelope_to_json`)
 splices the compact routed text into its header's text, so the plan is
 encoded once and never parsed back.
 
-The schema is versioned so saved plans survive library evolution, and
-loading validates against the target NodeGraph when one is supplied (a
-plan for a different architecture fails fast instead of silently
-replicating everything); by default loading also runs the static verifier
-(:mod:`repro.verify`) when a graph is available — ``verify=False`` skips
-it.
+The schema is versioned so saved plans survive library evolution.  Every
+loader has one verified path: given the target NodeGraph it runs the
+static verifier (:mod:`repro.verify`) and raises :class:`PlanLoadError`
+on any finding (a plan for a different architecture fails fast instead of
+silently replicating everything); without a graph it checks the document
+structure only, for callers that report findings themselves.
 """
 
 from __future__ import annotations
@@ -107,16 +107,17 @@ def plan_to_json(plan: ShardingPlan, indent: Optional[int] = 2) -> str:
 
 
 def plan_from_json(
-    text: str, node_graph: Optional[NodeGraph] = None, verify: bool = True
+    text: str, node_graph: Optional[NodeGraph] = None
 ) -> ShardingPlan:
-    """Parse a serialised plan; optionally validate against *node_graph*.
+    """Parse a serialised plan: with a graph, verified; without one,
+    structure only.
 
-    Validation checks that every assigned node exists and carries weights —
-    assignments to unknown nodes indicate the plan belongs to a different
-    model (or model version) and would otherwise be silently ignored.
-    With a graph and ``verify=True`` (the default) the static verifier
-    additionally re-checks divisibility and pattern-chain connectivity;
-    a failing plan raises :class:`PlanLoadError` carrying the diagnostics.
+    Against *node_graph* every assigned node must exist and carry weights
+    — assignments to unknown nodes indicate the plan belongs to a
+    different model (or model version) and would otherwise be silently
+    ignored — and the static verifier re-checks divisibility and
+    pattern-chain connectivity; a failing plan raises
+    :class:`PlanLoadError` carrying the diagnostics.
     """
     try:
         doc = json.loads(text)
@@ -154,7 +155,7 @@ def plan_from_json(
         name=str(doc.get("name", "")),
         zero_stage=zero_stage,
     )
-    if node_graph is not None and verify:
+    if node_graph is not None:
         _verify_loaded_plan(node_graph, plan)
     return plan
 
@@ -179,12 +180,11 @@ def save_plan(plan: ShardingPlan, path) -> None:
         fh.write("\n")
 
 
-def load_plan(
-    path, node_graph: Optional[NodeGraph] = None, verify: bool = True
-) -> ShardingPlan:
-    """Read a plan from *path*, optionally validating against a graph."""
+def load_plan(path, node_graph: Optional[NodeGraph] = None) -> ShardingPlan:
+    """Read a plan from *path*: with a graph, verified; without one,
+    structure only (see :func:`plan_from_json`)."""
     with open(path) as fh:
-        return plan_from_json(fh.read(), node_graph, verify=verify)
+        return plan_from_json(fh.read(), node_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -560,23 +560,25 @@ def routed_to_json(routed: RoutedPlan, indent: Optional[int] = 2) -> str:
 
 
 def routed_from_json(
-    text: str, node_graph: Optional[NodeGraph] = None, verify: bool = True
+    text: str, node_graph: Optional[NodeGraph] = None
 ) -> RoutedPlan:
-    """Parse a serialised routed plan.
+    """Parse a serialised routed plan: with a graph, verified; without
+    one, structure only.
 
     Cache fields come back *empty* regardless of document content (a
     document claiming to carry one is rejected as corrupt).  With a graph
-    and ``verify=True`` the full static verifier runs over the result.
+    the full static verifier runs over the result and a finding raises
+    :class:`PlanLoadError`.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PlanLoadError(f"not valid JSON: {exc}") from exc
-    return routed_from_doc(doc, node_graph, verify=verify)
+    return routed_from_doc(doc, node_graph)
 
 
 def routed_from_doc(
-    doc, node_graph: Optional[NodeGraph] = None, verify: bool = True
+    doc, node_graph: Optional[NodeGraph] = None
 ) -> RoutedPlan:
     """Parse an already-decoded routed-plan document (see
     :func:`routed_from_json`; the cache envelope embeds one)."""
@@ -628,7 +630,7 @@ def routed_from_doc(
         raise PlanLoadError(f"malformed routed-plan document: {exc}") from exc
 
     assert routed._sim_cache == {}, "cache fields must reinitialise empty"
-    if node_graph is not None and verify:
+    if node_graph is not None:
         from ..verify import verify_routed
 
         report = verify_routed(node_graph, routed)
@@ -647,12 +649,11 @@ def save_routed(routed: RoutedPlan, path) -> None:
         fh.write("\n")
 
 
-def load_routed(
-    path, node_graph: Optional[NodeGraph] = None, verify: bool = True
-) -> RoutedPlan:
-    """Read a routed plan from *path*, optionally verifying against a graph."""
+def load_routed(path, node_graph: Optional[NodeGraph] = None) -> RoutedPlan:
+    """Read a routed plan from *path*: with a graph, verified; without
+    one, structure only (see :func:`routed_from_json`)."""
     with open(path) as fh:
-        return routed_from_json(fh.read(), node_graph, verify=verify)
+        return routed_from_json(fh.read(), node_graph)
 
 
 # ---------------------------------------------------------------------------

@@ -288,15 +288,14 @@ def compile_columnar_tape(
     mesh: Mesh,
     config: Optional[CostConfig] = None,
     recompute=None,
-    *,
-    check: bool = True,
 ) -> ColumnarTape:
     """Compile (or fetch from the plan's cache) the columnar tape.
 
     Policy-free tapes are cached on the plan under ``("columnar", mesh,
-    cfg)``.  ``check=True`` runs :func:`columnar_tape_invariants`
-    on every fresh compile and raises on inconsistency (the CLI's
-    ``--no-verify`` maps to ``check=False``).
+    cfg)``.  Every fresh compile runs :func:`columnar_tape_invariants`
+    and raises ``ValueError`` on inconsistency; a cache hit is served
+    as-is (the ``sim/tape-columnar`` verifier rule re-checks cached
+    tapes).
     """
     from .iteration import _compile_tape, _groups_for
 
@@ -313,12 +312,11 @@ def compile_columnar_tape(
         routed, mesh, cfg, rec, groups, dp
     )
     tape = _flatten(routed, fwd_tape, bwd_tape, bucket_plan, stats, sig_ids)
-    if check:
-        problems = columnar_tape_invariants(routed, tape)
-        if problems:
-            raise ValueError(
-                "columnar tape failed invariants: " + "; ".join(problems)
-            )
+    problems = columnar_tape_invariants(routed, tape)
+    if problems:
+        raise ValueError(
+            "columnar tape failed invariants: " + "; ".join(problems)
+        )
     if cache_key is not None:
         routed._sim_cache[cache_key] = tape
     return tape
@@ -665,11 +663,9 @@ def simulate_columnar(
     mesh: Mesh,
     config: Optional[CostConfig] = None,
     recompute=None,
-    *,
-    check: bool = True,
 ):
     """Columnar-tier equivalent of :func:`simulate_iteration` (one plan)."""
-    tape = compile_columnar_tape(routed, mesh, config, recompute, check=check)
+    tape = compile_columnar_tape(routed, mesh, config, recompute)
     return _profiles_from_tapes([tape])[0]
 
 
@@ -678,8 +674,6 @@ def simulate_batch(
     mesh: Mesh,
     config: Optional[CostConfig] = None,
     recompute=None,
-    *,
-    check: bool = True,
 ):
     """Simulate many plans on one mesh/config in a single batched replay.
 
@@ -692,7 +686,7 @@ def simulate_batch(
     if not routed_plans:
         return []
     tapes = [
-        compile_columnar_tape(r, mesh, config, recompute, check=check)
+        compile_columnar_tape(r, mesh, config, recompute)
         for r in routed_plans
     ]
     return _profiles_from_tapes(tapes)

@@ -384,7 +384,6 @@ def simulate_iteration(
     recompute=None,
     *,
     engine=None,
-    verify: bool = True,
 ) -> IterationProfile:
     """Replay one iteration of *routed* on *mesh* at event granularity.
 
@@ -399,9 +398,9 @@ def simulate_iteration(
     loop serves as the oracle for the property tests, mirroring
     ``derive_plan(engine=...)``.
 
-    ``verify`` only affects the columnar tier: freshly compiled columnar
-    tapes run their structural invariants (the ``sim/tape-columnar``
-    rule) before first use; pass ``False`` to skip (CLI ``--no-verify``).
+    On the columnar tier a freshly compiled tape always runs its
+    structural invariants (the ``sim/tape-columnar`` rule) before first
+    use.
     """
     cfg = config or CostConfig()
     tier = normalize_sim_engine(engine)
@@ -416,7 +415,7 @@ def simulate_iteration(
         else:
             from .columnar import simulate_columnar
 
-            prof = simulate_columnar(routed, mesh, cfg, recompute, check=verify)
+            prof = simulate_columnar(routed, mesh, cfg, recompute)
     if metrics.enabled():
         metrics.counter("sim.segments", prof.segments_detected)
         metrics.counter("sim.nodes_replayed", prof.nodes_replayed)

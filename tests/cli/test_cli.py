@@ -1,8 +1,23 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+
+#: a saved plan naming a node that no zoo graph has
+UNKNOWN_NODE_PLAN = {
+    "kind": "repro.sharding_plan", "schema": 1, "tp_degree": 8,
+    "assignment": {"no_such_node": "megatron_col"},
+}
+
+#: documents that are not a readable plan at all
+MALFORMED_PLANS = {
+    "invalid-json": "{not json",
+    "wrong-kind": json.dumps({**UNKNOWN_NODE_PLAN, "kind": "repro.other"}),
+    "bad-schema": json.dumps({**UNKNOWN_NODE_PLAN, "schema": 99}),
+}
 
 
 class TestModels:
@@ -46,15 +61,14 @@ class TestPlan:
 class TestEngineFlags:
     """One fast path and one oracle: ``--engine {columnar,reference}``."""
 
-    PLAN = ["plan", "clip_base", "--mesh", "1x4", "--batch-tokens", "1024",
-            "--no-verify"]
-    SIM = ["simulate", "bert_large", "--plan", "dp", "--mesh", "1x2",
-           "--no-verify"]
+    PLAN = ["plan", "clip_base", "--mesh", "1x4", "--batch-tokens", "1024"]
+    SIM = ["simulate", "bert_large", "--plan", "dp", "--mesh", "1x2"]
 
     @pytest.mark.parametrize("argv", [
         ["--jobs", "2"],
         ["--no-engine"],
         ["--engine", "engine"],
+        ["--no-verify"],
     ])
     def test_plan_rejects_retired_flags(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -65,6 +79,7 @@ class TestEngineFlags:
     @pytest.mark.parametrize("argv", [
         ["--reference"],
         ["--engine", "replay"],
+        ["--no-verify"],
     ])
     def test_simulate_rejects_retired_flags(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -153,11 +168,40 @@ class TestVerify:
                      "--batch-tokens", "1024"]) == 0
         assert "verification" in capsys.readouterr().out
 
-    def test_no_verify_skips(self, capsys):
-        assert main(["plan", "clip_base", "--mesh", "1x4",
-                     "--batch-tokens", "1024", "--no-verify"]) == 0
-        assert "verification" not in capsys.readouterr().out
 
-    def test_simulate_no_verify(self, capsys):
-        assert main(["simulate", "bert_large", "--plan", "dp",
-                     "--mesh", "1x2", "--no-verify"]) == 0
+@pytest.mark.parametrize("command", [["simulate"], ["verify", "plan"]],
+                         ids=["simulate", "verify-plan"])
+class TestSavedPlanFindings:
+    """A saved plan is parsed structure-only and the verifier reports its
+    findings (exit 1); a document that is not a plan exits with one line."""
+
+    def run(self, command, tmp_path, text):
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        return main(command + ["clip_base", "--plan", str(path),
+                               "--mesh", "2x8"])
+
+    def test_unknown_node_reported(self, command, capsys, tmp_path):
+        assert self.run(command, tmp_path,
+                        json.dumps(UNKNOWN_NODE_PLAN)) == 1
+        out = capsys.readouterr().out
+        assert "error[plan/unknown-node]" in out and "no_such_node" in out
+        assert "step (ms)" not in out
+
+    def test_routing_rejection_reported(self, command, capsys, tmp_path):
+        doc = {**UNKNOWN_NODE_PLAN,
+               "assignment": {"clip_base/text/embed": "bogus_pattern"}}
+        assert self.run(command, tmp_path, json.dumps(doc)) == 1
+        out = capsys.readouterr().out
+        assert "routing rejects it" in out
+        assert "error[plan/unknown-pattern]" in out
+
+    @pytest.mark.parametrize("text", MALFORMED_PLANS.values(),
+                             ids=MALFORMED_PLANS.keys())
+    def test_malformed_document_one_line_error(self, command, text,
+                                               tmp_path):
+        with pytest.raises(SystemExit) as err:
+            self.run(command, tmp_path, text)
+        message = err.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert str(tmp_path / "plan.json") in message

@@ -18,6 +18,7 @@ from repro.cluster import paper_testbed
 from repro.core import CostConfig, DEFAULT_REGISTRY, derive_plan, route_plan
 from repro.core.api import what_if_profiles
 from repro.passes import select_recompute_scopes
+from repro.simulator import columnar
 from repro.simulator import (
     SIM_ENGINE_TIERS,
     ColumnarTape,
@@ -306,10 +307,22 @@ class TestTapeInvariants:
         report = verify_routed(ng, routed, mesh, cfg)
         assert report.ok, report.describe()
 
-    def test_no_verify_skips_invariant_check(self, tape_env):
+    def test_fresh_compile_always_checks_invariants(self, tape_env,
+                                                    monkeypatch):
         _, routed, mesh, cfg, tape = tape_env
+        calls = []
+
+        def failing(routed_, tape_):
+            calls.append(tape_)
+            return ["injected problem"]
+
+        monkeypatch.setattr(columnar, "columnar_tape_invariants", failing)
+        # a cache hit is served as-is, without re-checking
+        assert compile_columnar_tape(routed, mesh, cfg) is tape
+        assert calls == []
+        # a fresh compile runs the invariants and refuses a failing tape
         routed._sim_cache.clear()
-        # check=False must not raise even though check=True would have
-        t1 = compile_columnar_tape(routed, mesh, cfg, check=False)
-        assert isinstance(t1, ColumnarTape)
-        assert columnar_tape_invariants(routed, t1) == []
+        with pytest.raises(ValueError, match="injected problem"):
+            compile_columnar_tape(routed, mesh, cfg)
+        assert len(calls) == 1 and isinstance(calls[0], ColumnarTape)
+        assert ("columnar", mesh, cfg) not in routed._sim_cache
