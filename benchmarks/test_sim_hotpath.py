@@ -18,7 +18,8 @@ several to hundreds of times slower, is timed in one window.
 
 The bench gates itself: the speed-up floors stand in for the walls
 (which are reported, not gated), the tape compiler's work counters
-(nodes, segments, nodes replayed, plans batched) are pinned exactly, and
+(nodes, segments, nodes replayed, plans batched) and the simulator's
+per-call work (tapes compiled and replayed) are pinned exactly, and
 peak tracked memory is held to ``PEAK_SLACK`` times a pinned value.
 """
 
@@ -79,6 +80,9 @@ MIN_SPEEDUP = {"t5-48L": 12.0, "resnet-100K": 3.5}
 #: Deterministic tape-compiler work, pinned exactly:
 #: (routed nodes, replay segments, nodes replayed) for the cold sweep ...
 COUNTERS = {"t5-48L": (1400, 2, 1363), "resnet-100K": (74, 5, 33)}
+#: ... the work of one cold `simulate_iteration` call, read from the
+#: simulator's obs counters: (tapes compiled, tapes replayed) ...
+SIM_WORK = (1, 1)
 #: ... and (routed nodes, replay segments) for the warm large-zoo sweep.
 LARGE_COUNTERS = {
     "t5-96L": (2792, 4), "resnet-300K": (74, 5), "moe-deep": (629, 1),
@@ -137,6 +141,18 @@ def _assert_parity(label, routed, mesh, cfg):
     assert col.as_dict() == ref.as_dict(), label
     assert _logs(col) == _logs(ref), label
     return col
+
+
+def _cold_work(routed, mesh, cfg):
+    """(tapes compiled, tapes replayed) by one cold simulation."""
+    from repro import obs
+    from repro.simulator import simulate_iteration
+
+    routed._sim_cache.clear()
+    with obs.capture() as sink:
+        simulate_iteration(routed, mesh, cfg)
+    return (int(sink.counters.get("sim.tapes_compiled", 0)),
+            int(sink.counters.get("sim.tapes_replayed", 0)))
 
 
 def _cold_peak_mb(routed, mesh, cfg):
@@ -259,6 +275,7 @@ def sweep():
                 "col_seconds": t_col,
                 "segments": col_prof.segments_detected,
                 "replayed": col_prof.nodes_replayed,
+                "work": _cold_work(routed, mesh, cfg),
                 "peak_mem_mb": _cold_peak_mb(routed, mesh, cfg),
             }
         )
@@ -327,6 +344,7 @@ def test_sim_hotpath_replay_speedup(run_once):
         # the compiled tape is deterministic, node for node
         assert (r["nodes"], r["segments"], r["replayed"]) == \
             COUNTERS[r["model"]], r["model"]
+        assert r["work"] == SIM_WORK, (r["model"], r["work"])
         assert r["peak_mem_mb"] <= PEAK_SLACK * PEAK_MB[r["model"]], (
             r["model"], r["peak_mem_mb"])
 

@@ -195,11 +195,13 @@ class _Skeleton:
             any(op.op_type in FEATURE_AXIS_OPS for op in node.ops)
             for node in nodes
         ]
+        # each node's output spec, looked up per input edge below
+        outs = [node.output_spec for node in nodes]
         self.first_spec: List[Optional[TensorSpec]] = []
         for node in nodes:
             spec = None
             for src in node.inputs:
-                s = block.node(src).output_spec
+                s = outs[pos[src]]
                 if s is not None:
                     spec = s
                     break
@@ -238,7 +240,7 @@ class _Skeleton:
                 sp = pos[src]
                 esrc.append(sp)
                 edst.append(i)
-                spec = nodes[sp].output_spec
+                spec = outs[sp]
                 if spec is None:
                     espec_ok.append(False)
                     espec_idx.append(0)

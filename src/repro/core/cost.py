@@ -236,8 +236,14 @@ class CostModel:
         # Gradient streams are packed and priced per synchronisation group.
         grad_streams: Dict[str, List[int]] = {"dp": [], "all": []}
 
+        # A shard routing stamped from a template prices as the template
+        # does (``RoutedPlan._stamps``): reuse the template's cached terms,
+        # in the same node order.
+        shards, stamps = routed.shards, routed._stamps
         for name in routed.order:
-            shard = routed.shards[name]
+            shard = shards.get(stamps[name]) if name in stamps else None
+            if shard is None:
+                shard = shards[name]
             t_fwd, terms = self.shard_terms(shard, tokens_per_replica, groups)
             # compute ----------------------------------------------------
             bd.forward_compute += t_fwd

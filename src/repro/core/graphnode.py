@@ -9,12 +9,18 @@ roughly one node per weight variable (the paper reports T5-large: 60k ops →
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..graph import Graph, GraphError, Operator, OpType, TensorSpec
 
 __all__ = ["GraphNode", "NodeGraph", "coarsen"]
+
+
+#: ``repr`` of an op signature, the sort key of a node signature; the same
+#: op signatures recur in every instance of a repeated layer
+_signature_key = functools.lru_cache(maxsize=4096)(repr)
 
 
 @dataclass
@@ -28,6 +34,8 @@ class GraphNode:
     _signature: Optional[Tuple] = field(
         default=None, repr=False, compare=False
     )
+    #: lazy kind memo, for the same reason
+    _kind: Optional[str] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     @property
@@ -64,10 +72,12 @@ class GraphNode:
         node even though it also contains a bias add); weightless groups are
         keyed by their heaviest op.
         """
-        weighted = [op for op in self.ops if op.has_weight]
-        pool = weighted or self.ops
-        best = max(pool, key=lambda op: (op.weight.num_elements if op.weight else 0, op.flops))
-        return best.op_type
+        if self._kind is None:
+            weighted = [op for op in self.ops if op.has_weight]
+            pool = weighted or self.ops
+            best = max(pool, key=lambda op: (op.weight.num_elements if op.weight else 0, op.flops))
+            self._kind = best.op_type
+        return self._kind
 
     def op_type_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -78,8 +88,11 @@ class GraphNode:
     def signature(self) -> Tuple:
         """Name-free structural identity for similarity comparison."""
         if self._signature is None:
-            self._signature = tuple(
-                sorted((op.signature() for op in self.ops), key=repr)
+            ops = self.ops
+            self._signature = (
+                (ops[0].signature(),) if len(ops) == 1
+                else tuple(sorted([op.signature() for op in ops],
+                                  key=_signature_key))
             )
         return self._signature
 

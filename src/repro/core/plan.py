@@ -14,6 +14,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..graph import TensorSpec
+from ..graph.tensor import DTYPE_SIZES
 
 __all__ = ["ShardingPlan", "CommEvent", "NodeShard", "RoutedPlan"]
 
@@ -123,11 +124,28 @@ class CommEvent:
         if self.axis not in ("tp", "dp", "all"):
             raise ValueError(f"bad axis {self.axis!r}")
 
+    def renamed(self, node: str, src: str, spec: TensorSpec) -> "CommEvent":
+        """This event for another node: the fields a routed block's copy
+        renames replaced, the rest shared.  The checks ``__post_init__``
+        ran on this event hold for the copy unchanged."""
+        event = object.__new__(CommEvent)
+        event.__dict__.update(self.__dict__, node=node, src=src, spec=spec)
+        return event
+
     def nbytes(self, tokens_per_replica: int) -> int:
         """Logical bytes moved given the per-DP-replica token count."""
-        if self.scales_with_batch and self.spec.has_symbolic_batch:
-            return self.spec.with_batch(tokens_per_replica).size_bytes
-        return self.spec.size_bytes
+        spec = self.spec
+        if self.scales_with_batch and -1 in spec.shape:
+            # spec.with_batch(tokens).size_bytes without building the spec
+            if tokens_per_replica <= 0:
+                raise ValueError(
+                    f"batch must be positive, got {tokens_per_replica}"
+                )
+            n = 1
+            for d in spec.shape:
+                n *= tokens_per_replica if d == -1 else d
+            return n * DTYPE_SIZES[spec.dtype]
+        return spec.size_bytes
 
 
 @dataclass
@@ -158,6 +176,32 @@ class NodeShard:
     output_spec: Optional[TensorSpec] = None
     events: List[CommEvent] = field(default_factory=list)
 
+    def renamed(
+        self,
+        name: str,
+        output_spec: Optional[TensorSpec],
+        events: List[CommEvent],
+    ) -> "NodeShard":
+        """A copy of this shard for another node of the same structure.
+
+        Fields are set one by one, in declaration order, as ``__init__``
+        sets them (see :meth:`repro.graph.Operator.rewired`)."""
+        shard = object.__new__(NodeShard)
+        shard.name = name
+        shard.kind = self.kind
+        shard.pattern = self.pattern
+        shard.input_layout = self.input_layout
+        shard.output_layout = self.output_layout
+        shard.local_weight_bytes = self.local_weight_bytes
+        shard.full_weight_bytes = self.full_weight_bytes
+        shard.local_parameters = self.local_parameters
+        shard.compute_share = self.compute_share
+        shard.flops = self.flops
+        shard.bwd_input_reduction = self.bwd_input_reduction
+        shard.output_spec = output_spec
+        shard.events = events
+        return shard
+
 
 @dataclass
 class RoutedPlan:
@@ -177,6 +221,10 @@ class RoutedPlan:
     #: Stale only if shards/order are mutated after a simulation, which no
     #: caller does (routing builds the plan once, consumers read it).
     _sim_cache: Dict = field(default_factory=dict, repr=False, compare=False)
+    #: copied shard name → the walked shard routing stamped it from (see
+    #: :func:`repro.core.routing.route_plan` and :meth:`stamp_sources`);
+    #: never serialised or compared, and the verifier ignores it.
+    _stamps: Dict[str, str] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def tp_degree(self) -> int:
@@ -192,6 +240,35 @@ class RoutedPlan:
             for ev in self.shards[name].events:
                 if phase is None or ev.phase == phase:
                     out.append(ev)
+        return out
+
+    def stamp_sources(self) -> Dict[str, "NodeShard"]:
+        """Copied shard name → the walked shard routing stamped it from.
+
+        The writer reuses a template's text for these shards (and the cost
+        model its terms, reading ``_stamps`` directly).  Like
+        ``_sim_cache``, the record is stale only if shards are mutated
+        after routing, which no caller does; entries whose shards no longer
+        line up with their template's structure (a missing template,
+        another event count or output-spec rank) are left out, so the
+        writer's per-member fields line up with the template's.  The
+        verifier does not read it.
+        """
+        shards, stamps = self.shards, self._stamps
+        out: Dict[str, NodeShard] = {}
+        # a lookup table: its order never reaches a result
+        for name, source in stamps.items():  # repro-lint: ignore[order-reach]
+            member, template = shards.get(name), shards.get(source)
+            if member is None or template is None or source in stamps:
+                continue
+            a, b = member.output_spec, template.output_spec
+            if (
+                template.name == source
+                and len(member.events) == len(template.events)
+                and (a is b or (a is not None and b is not None
+                                and len(a.shape) == len(b.shape)))
+            ):
+                out[name] = template
         return out
 
     def total_local_weight_bytes(self) -> int:

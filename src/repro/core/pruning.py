@@ -16,19 +16,17 @@ import time
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..graph.scope import (
     build_scope_tree,
     group_sibling_scopes,
-    max_depth,
     normalize_scope,
-    scopes_at_depth,
 )
 from ..obs import metrics, trace
 from .graphnode import NodeGraph
 
-__all__ = ["SubgraphFamily", "PruneResult", "prune_graph"]
+__all__ = ["SubgraphFamily", "PruneResult", "prune_graph", "memoised_prune"]
 
 
 @dataclass(frozen=True)
@@ -120,13 +118,18 @@ class _Fingerprinter:
 
     Sorting signatures needs a total order over heterogeneous tuples, so
     they sort by ``repr`` — which is expensive to rebuild for every block
-    instance.  Node signatures are memoised on the node, so their object
-    ids are stable for the lifetime of one prune; keying the repr cache
-    by id amortises the string build across all instances of a family.
+    instance.  Equal node signatures are interned to one object, whose id
+    is stable for the lifetime of one prune; keying the repr cache by id
+    then builds each distinct signature's string once, however many nodes
+    share it.
     """
 
     def __init__(self, graph: NodeGraph) -> None:
-        self._sig = {node.name: node.signature() for node in graph}
+        interned: Dict[Tuple, Tuple] = {}
+        self._sig = {
+            node.name: interned.setdefault(node.signature(), node.signature())
+            for node in graph
+        }
         self._repr: Dict[int, str] = {}
 
     def _key(self, sig: Tuple) -> str:
@@ -168,6 +171,20 @@ def prune_graph(graph: NodeGraph, min_duplicate: int = 2) -> PruneResult:
     return result
 
 
+def memoised_prune(graph: NodeGraph) -> Optional[PruneResult]:
+    """The prune result :func:`prune_graph` memoised on *graph*, if any.
+
+    Any threshold's result will do for routing after the search, which
+    uses its families only to find repeated instances and checks each one
+    before relying on it.  ``None`` when the graph was never pruned or has
+    grown since.
+    """
+    cached = getattr(graph, "_prune_cache", None)
+    if cached is None or cached[0][1:] != (len(graph), graph.num_edges):
+        return None
+    return cached[1]
+
+
 def _prune_graph(graph: NodeGraph, min_duplicate: int) -> PruneResult:
     start = time.perf_counter()
     all_names = [n.name for n in graph]
@@ -185,8 +202,12 @@ def _prune_graph(graph: NodeGraph, min_duplicate: int) -> PruneResult:
 
     # Walk from the deepest scopes up (Algorithm 1 lines 4-12): deeper
     # levels give small homogeneous blocks, shallower levels larger ones.
-    for depth in range(max_depth(tree), 0, -1):
-        groups = group_sibling_scopes(scopes_at_depth(tree, depth))
+    scopes = list(tree.walk())
+    by_depth: Dict[int, list] = {}
+    for scope_node in scopes:
+        by_depth.setdefault(scope_node.depth, []).append(scope_node)
+    for depth in range(max(by_depth), 0, -1):
+        groups = group_sibling_scopes(by_depth.get(depth, []))
         for normalized, members in groups.items():
             if len(members) < min_duplicate:
                 continue
@@ -223,7 +244,7 @@ def _prune_graph(graph: NodeGraph, min_duplicate: int) -> PruneResult:
     # Repeated *single* GraphNodes (e.g. a stack of conv blocks that each
     # coarsened into one node) never appear as scopes; cluster them by
     # normalised name directly at their parent scope.
-    for scope_node in tree.walk():
+    for scope_node in scopes:
         ops_by_norm: Dict[str, List[str]] = {}
         for op_name in scope_node.ops:
             ops_by_norm.setdefault(normalize_scope(op_name), []).append(op_name)

@@ -3,7 +3,8 @@
 The rewriter restores the original operator order, replaces weights with
 their local shards, inserts the plan's forward communication operators on
 the edges they convert, computes the gradient-packing buckets, and finally
-re-attaches the auxiliary operators trimmed before planning.  The result is
+re-attaches the auxiliary operators trimmed before planning — all in one
+pass that copies each operator once.  The result is
 a framework-consumable parallel graph — one device's program under SPMD.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..graph import Graph, Operator, OpType, TensorSpec, TrimRecord, restore_auxiliary
+from ..graph import Graph, Operator, OpType, TensorSpec, TrimRecord, attach_auxiliary
 from ..obs import metrics, trace
 from .graphnode import NodeGraph
 from .packing import Bucket, PackingConfig, pack_gradients
@@ -43,10 +44,6 @@ class RewriteResult:
     @property
     def num_gradient_buckets(self) -> int:
         return len(self.gradient_buckets)
-
-
-def _member_ops(node_graph: NodeGraph) -> Dict[str, List[str]]:
-    return {n.name: [op.name for op in n.ops] for n in node_graph}
 
 
 def rewrite_graph(
@@ -83,13 +80,18 @@ def _rewrite_graph(
     packing: Optional[PackingConfig],
     registry: PatternRegistry,
 ) -> RewriteResult:
-    members = _member_ops(node_graph)
+    # One pass: every compute op is copied once into the result graph, the
+    # spliced comm ops beside it, then the trimmed auxiliary ops after them.
     op_to_node: Dict[str, str] = {}
-    for node_name, ops in members.items():
-        for op in ops:
-            op_to_node[op] = node_name
+    first_op: Dict[str, str] = {}
+    for node in node_graph:
+        first_op[node.name] = node.ops[0].name
+        for op in node.ops:
+            op_to_node[op.name] = node.name
 
     tp = routed.tp_degree
+    shards = routed.shards
+    conversions = routed.conversions
     result_graph = Graph(name=f"{trimmed.name}@tp{tp}")
     result = RewriteResult(graph=result_graph)
     #: (producer op, target layout) → shared comm op name.  One collective's
@@ -99,34 +101,37 @@ def _rewrite_graph(
 
     for op in trimmed:
         node_name = op_to_node.get(op.name)
-        shard = routed.shards.get(node_name) if node_name else None
+        shard = shards.get(node_name) if node_name else None
 
-        new_inputs: List[str] = []
-        for src in op.inputs:
-            src_node = op_to_node.get(src)
-            collective = (
-                routed.conversions.get((src_node, shard.input_layout))
-                if shard is not None and src_node not in (None, node_name)
-                else None
-            )
-            if collective:
-                splice_key = (src, shard.input_layout)
-                if splice_key not in spliced:
-                    comm_name = f"{src}/{collective}_to_{shard.input_layout}"
-                    result_graph.add(
-                        Operator(
-                            name=comm_name,
-                            op_type=COLLECTIVE_TO_OP[collective],
-                            inputs=(src,),
-                            output=trimmed.op(src).output,
-                            attrs={"group": "tp", "tp_degree": tp},
+        inputs = op.inputs
+        if shard is not None and conversions:
+            new_inputs: List[str] = []
+            for src in inputs:
+                src_node = op_to_node.get(src)
+                collective = (
+                    conversions.get((src_node, shard.input_layout))
+                    if src_node not in (None, node_name)
+                    else None
+                )
+                if collective:
+                    splice_key = (src, shard.input_layout)
+                    if splice_key not in spliced:
+                        comm_name = f"{src}/{collective}_to_{shard.input_layout}"
+                        result_graph.add(
+                            Operator(
+                                name=comm_name,
+                                op_type=COLLECTIVE_TO_OP[collective],
+                                inputs=(src,),
+                                output=trimmed.op(src).output,
+                                attrs={"group": "tp", "tp_degree": tp},
+                            )
                         )
-                    )
-                    spliced[splice_key] = comm_name
-                    result.num_comm_ops += 1
-                new_inputs.append(spliced[splice_key])
-            else:
-                new_inputs.append(src)
+                        spliced[splice_key] = comm_name
+                        result.num_comm_ops += 1
+                    new_inputs.append(spliced[splice_key])
+                else:
+                    new_inputs.append(src)
+            inputs = tuple(new_inputs)
 
         weight = op.weight
         if weight is not None and shard is not None and shard.pattern not in (
@@ -139,17 +144,14 @@ def _rewrite_graph(
 
         # MoE dispatch/combine (pattern-level forward comms without a src
         # edge) wrap the node's first op.
-        extra = [
-            ev
-            for ev in (shard.events if shard else [])
-            if ev.phase == "forward" and not ev.src
-        ]
-        if extra and members[node_name][0] == op.name:
+        if shard is not None and shard.events and first_op[node_name] == op.name:
+            extra = [
+                ev for ev in shard.events if ev.phase == "forward" and not ev.src
+            ]
             for i, ev in enumerate(extra):
                 comm_name = f"{node_name}/{ev.collective}_pre{i}"
                 if comm_name in result_graph:
                     continue
-                inputs = tuple(new_inputs) or ()
                 result_graph.add(
                     Operator(
                         name=comm_name,
@@ -159,21 +161,10 @@ def _rewrite_graph(
                         attrs={"group": "tp", "tp_degree": tp},
                     )
                 )
-                new_inputs = [comm_name]
+                inputs = (comm_name,)
                 result.num_comm_ops += 1
 
-        result_graph.add(
-            Operator(
-                name=op.name,
-                op_type=op.op_type,
-                inputs=tuple(new_inputs),
-                output=op.output,
-                weight=weight,
-                trainable=op.trainable,
-                flops=op.flops,
-                attrs=dict(op.attrs),
-            )
-        )
+        result_graph.add(op.rewired(inputs, weight))
 
     # Gradient packing over the plan's backward gradient stream (§4.7.1).
     grad_stream = [
@@ -184,8 +175,8 @@ def _rewrite_graph(
     result.gradient_buckets = pack_gradients(grad_stream, packing)
 
     if trim_record is not None:
-        result.graph = restore_auxiliary(result_graph, trim_record)
-    result.graph.validate()
+        attach_auxiliary(result_graph, trim_record)
+    result_graph.validate()
     return result
 
 

@@ -9,11 +9,18 @@ required layout resolves through the conversion table in
 :mod:`repro.core.patterns`; an unresolvable hop, an inapplicable pattern, a
 nonlinearity applied to a partial value, or a leaf left partial makes the
 plan invalid — these are the plans Algorithm 2 discards.
+
+:func:`route_plan` routes each repeated block once: an instance of a prune
+family that enters in the same state as the family's previous instance is
+stamped from it by renaming.  :func:`walk_plan` walks every node and is
+its oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import itertools
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..graph import OpType, TensorSpec
 from ..obs import trace
@@ -27,9 +34,11 @@ from .patterns import (
     conversion_comm,
 )
 from .plan import CommEvent, NodeShard, RoutedPlan, ShardingPlan
+from .pruning import memoised_prune
 
 __all__ = [
     "route_plan",
+    "walk_plan",
     "route_node",
     "resolve_pattern",
     "follow_required",
@@ -211,32 +220,210 @@ def route_plan(
     visits every node in topological order and fails the moment a hop has
     no pattern pair, so a completed walk *is* a connected chain of sharding
     patterns from every root to every leaf.
+
+    Repeated blocks are routed once: when *block* carries a memoised prune
+    result (:func:`repro.core.pruning.memoised_prune`), an instance of a
+    family that enters in the same state as the family's previous instance
+    is stamped from it by renaming (see :func:`_stamp_instance`) instead of
+    walked.  The result equals :func:`walk_plan`'s, field for field.
     """
     with trace.span("route", block=block.name, tp=plan.tp_degree):
-        tp = plan.tp_degree
-        routed = RoutedPlan(plan=plan)
-        layouts: Dict[str, str] = {}
-        for name in block.topo_order():
-            node = block.node(name)
-            input_layouts = [layouts[i] for i in node.inputs]
-            input_specs = [block.node(i).output_spec for i in node.inputs]
-            pattern = (
-                resolve_pattern(node, plan.pattern_for(name), registry, tp)
-                if node.weights
-                else None
-            )
-            shard = route_node(
-                node, pattern, input_layouts, input_specs, tp,
-                routed.conversions, zero_stage=plan.zero_stage,
-            )
-            layouts[name] = shard.output_layout
-            routed.shards[name] = shard
-            routed.order.append(name)
+        prune = memoised_prune(block)
+        return _route(block, plan, registry, prune.families if prune else ())
 
-        for leaf in block.leaves():
-            if layouts.get(leaf.name) == Layout.P:
-                raise RoutingError(f"leaf {leaf.name} ends with a partial value")
-        return routed
+
+def walk_plan(
+    block: NodeGraph,
+    plan: ShardingPlan,
+    registry: PatternRegistry,
+) -> RoutedPlan:
+    """The per-node walk of every GraphNode: :func:`route_plan`'s oracle."""
+    return _route(block, plan, registry, ())
+
+
+class _Instance(NamedTuple):
+    """One routed family instance, as the next instance compares to it."""
+
+    members: Tuple[str, ...]
+    #: per member: its ops' :data:`_op_key` values and assigned pattern
+    nodes: List[Tuple]
+    #: per member: each input's index in ``members``, -1 when external
+    wiring: List[Tuple[int, ...]]
+    #: producers outside the instance, one per boundary edge in member order
+    external: List[str]
+    #: per boundary edge: the producer's layout and output spec, and which
+    #: conversions of it were already claimed when the instance was entered
+    entry: List[Tuple]
+    #: the conversion entries the instance added, in routing order
+    rows: List[Tuple[Tuple[str, str], str]]
+
+
+#: everything about an op except its name and wiring that routing reads
+_op_key = attrgetter("op_type", "output", "weight", "trainable", "flops")
+_op_weight = attrgetter("weight")
+
+
+def _instance(
+    block: NodeGraph,
+    plan: ShardingPlan,
+    members: Tuple[str, ...],
+    layouts: Dict[str, str],
+    conversions: Dict[Tuple[str, str], str],
+) -> _Instance:
+    """Describe the instance *members* as the walk is about to enter it."""
+    index = {name: k for k, name in enumerate(members)}
+    nodes, wiring, external, entry = [], [], [], []
+    for name in members:
+        node = block.node(name)
+        key = tuple(map(_op_key, node.ops))
+        weighted = any(map(_op_weight, node.ops))
+        nodes.append((key, plan.pattern_for(name) if weighted else None))
+        links = []
+        for src in node.inputs:
+            k = index.get(src, -1)
+            links.append(k)
+            if k < 0:
+                external.append(src)
+                entry.append((
+                    layouts[src],
+                    block.node(src).output_spec,
+                    [(src, lay) in conversions for lay in Layout.ALL],
+                ))
+        wiring.append(tuple(links))
+    return _Instance(members, nodes, wiring, external, entry, [])
+
+
+def _rename(prev: _Instance, cur: _Instance) -> Optional[Dict[str, str]]:
+    """Name map from *prev* onto *cur* when routing *cur* must repeat
+    *prev* exactly; ``None`` when anything routing reads differs.
+
+    Same composition is not enough (the prune fingerprint ignores wiring):
+    members must match pairwise, wire to the same member indices, and enter
+    from producers in the same layout, with equal specs and the same
+    conversions already claimed.
+    """
+    if (
+        prev.nodes != cur.nodes
+        or prev.wiring != cur.wiring
+        or prev.entry != cur.entry
+    ):
+        return None
+    rename = dict(zip(prev.members, cur.members))
+    for old, new in zip(prev.external, cur.external):
+        if rename.setdefault(old, new) != new:
+            return None
+    if len(set(rename.values())) != len(rename):
+        return None  # two producers of prev merge into one of cur
+    return rename
+
+
+def _stamp_instance(
+    routed: RoutedPlan,
+    block: NodeGraph,
+    prev: _Instance,
+    cur: _Instance,
+    rename: Dict[str, str],
+    layouts: Dict[str, str],
+) -> _Instance:
+    """Route *cur* by renaming *prev*'s shards, events and conversions.
+
+    Each copied shard keeps every value of its template except the names:
+    the shard's own, each event's ``node`` and ``src``, and the gradient
+    spec's ``"{node}/grads"``; its ``output_spec`` is the member's own
+    (equal by value).  The instance's conversion entries are added in the
+    order the template added them, as the walk would.
+    """
+    shards = routed.shards
+    stamps = routed._stamps
+    for old, new in zip(prev.members, cur.members):
+        shard = shards[old]
+        events = []
+        for ev in shard.events:
+            spec = ev.spec
+            if ev.overlappable:
+                spec = TensorSpec(spec.shape, spec.dtype, name=f"{new}/grads")
+            events.append(ev.renamed(new, rename[ev.src] if ev.src else "", spec))
+        shards[new] = shard.renamed(new, block.node(new).output_spec, events)
+        stamps[new] = stamps.get(old, old)
+        layouts[new] = layouts[old]
+        routed.order.append(new)
+    rows = cur.rows
+    for (src, layout), collective in prev.rows:
+        key = (rename[src], layout)
+        routed.conversions[key] = collective
+        rows.append((key, collective))
+    return cur
+
+
+def _route(
+    block: NodeGraph,
+    plan: ShardingPlan,
+    registry: PatternRegistry,
+    families: Sequence,
+) -> RoutedPlan:
+    tp = plan.tp_degree
+    routed = RoutedPlan(plan=plan)
+    conversions = routed.conversions
+    layouts: Dict[str, str] = {}
+
+    def walk(name: str) -> None:
+        node = block.node(name)
+        input_layouts = [layouts[i] for i in node.inputs]
+        input_specs = [block.node(i).output_spec for i in node.inputs]
+        pattern = (
+            resolve_pattern(node, plan.pattern_for(name), registry, tp)
+            if node.weights
+            else None
+        )
+        shard = route_node(
+            node, pattern, input_layouts, input_specs, tp,
+            conversions, zero_stage=plan.zero_stage,
+        )
+        layouts[name] = shard.output_layout
+        routed.shards[name] = shard
+        routed.order.append(name)
+
+    #: first member → (family, members) for every family instance
+    starts = {
+        members[0]: (f, members)
+        for f, family in enumerate(families)
+        for members in family.member_nodes
+    }
+    #: family → its last routed instance (absent: none to copy from)
+    last: Dict[int, _Instance] = {}
+    order = block.topo_order()
+    i = 0
+    while i < len(order):
+        hit = starts.get(order[i])
+        if hit is None:
+            walk(order[i])
+            i += 1
+            continue
+        f, members = hit
+        end = i + len(members)
+        if tuple(order[i:end]) != members:
+            # not contiguous in the walk: other nodes interleave
+            last.pop(f, None)
+            walk(order[i])
+            i += 1
+            continue
+        cur = _instance(block, plan, members, layouts, conversions)
+        prev = last.get(f)
+        rename = _rename(prev, cur) if prev is not None else None
+        if rename is not None:
+            last[f] = _stamp_instance(routed, block, prev, cur, rename, layouts)
+        else:
+            before = len(conversions)
+            for name in members:
+                walk(name)
+            cur.rows.extend(itertools.islice(conversions.items(), before, None))
+            last[f] = cur
+        i = end
+
+    for leaf in block.leaves():
+        if layouts.get(leaf.name) == Layout.P:
+            raise RoutingError(f"leaf {leaf.name} ends with a partial value")
+    return routed
 
 
 def resolve_pattern(

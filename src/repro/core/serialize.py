@@ -112,11 +112,11 @@ def plan_from_json(
     """Parse a serialised plan: with a graph, verified; without one,
     structure only.
 
-    Against *node_graph* every assigned node must exist and carry weights
-    — assignments to unknown nodes indicate the plan belongs to a
-    different model (or model version) and would otherwise be silently
-    ignored — and the static verifier re-checks divisibility and
-    pattern-chain connectivity; a failing plan raises
+    Against *node_graph* the static verifier checks the plan: every
+    assigned node must exist and carry weights (``plan/unknown-node``,
+    which names each offending node — a plan for a different model or
+    model version would otherwise be silently ignored), and divisibility
+    and pattern-chain connectivity hold; a failing plan raises
     :class:`PlanLoadError` carrying the diagnostics.
     """
     try:
@@ -142,13 +142,6 @@ def plan_from_json(
     if not isinstance(zero_stage, int) or zero_stage not in (0, 1, 2):
         raise PlanLoadError(f"invalid zero_stage {zero_stage!r}")
 
-    if node_graph is not None:
-        weight_names = {n.name for n in node_graph.weight_nodes()}
-        unknown = sorted(set(assignment) - weight_names)
-        if unknown:
-            raise PlanLoadError(
-                f"plan references nodes absent from the graph: {unknown[:5]}"
-            )
     plan = ShardingPlan.of(
         assignment,
         tp_degree,
@@ -367,6 +360,8 @@ class _Template(NamedTuple):
     text: str
     order: Callable
     size: int
+    #: fill-order index of each field, in text order
+    fields: Tuple[int, ...]
 
     def fill(self, values) -> str:
         return self.text % self.order(values)
@@ -379,7 +374,7 @@ def _template(skeleton, indent: Optional[int], depth: int) -> _Template:
     fields = [int(i) for i in _SENTINEL.findall(text)]
     # one field: itemgetter returns the bare text, which % also accepts
     return _Template(_SENTINEL.sub("%s", text), itemgetter(*fields),
-                     len(fields))
+                     len(fields), tuple(fields))
 
 
 def _tags():
@@ -496,6 +491,62 @@ def _shard_leaves(s: NodeShard, leaves: List) -> Tuple[int, ...]:
     return tuple(signature)
 
 
+# -- stamped shards -------------------------------------------------------------
+#
+# Routing stamps the repeated instances of a block from one routed template
+# and records member → template in ``RoutedPlan._stamps``.  A stamped shard's
+# text is its template's with a few leaves swapped — the shard's name and
+# output spec, and each event's node, src and spec name — so the writer
+# renders each template's text once with those leaves left as fields and
+# fills them per member (see :meth:`RoutedPlan.stamp_sources` for when the
+# record holds).
+
+#: fill-order positions of an event's node and src among its leaves
+_EVENT_NODE = _EVENT_LEAVES.index("node")
+_EVENT_SRC = _EVENT_LEAVES.index("src")
+
+
+@functools.lru_cache(maxsize=1024)
+def _stamp_slots(signature: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Fill-order positions of the leaves a stamped shard writes itself, in
+    the order :func:`_stamp_leaves` appends them."""
+    out_rank, *event_ranks = signature
+    slots = [_SHARD_LEAVES.index("name")]
+    k = len(_SHARD_LEAVES)
+    if out_rank >= 0:
+        slots += range(k, k + out_rank + 2)  # the output spec's every leaf
+        k += out_rank + 2
+    for rank in event_ranks:
+        slots += (k + _EVENT_NODE, k + _EVENT_SRC)
+        k += len(_EVENT_LEAVES)
+        if rank >= 0:
+            k += rank + 2
+            slots.append(k - 1)     # the spec's name, after shape and dtype
+    return tuple(slots)
+
+
+def _stamp_leaves(s: NodeShard, leaves: List) -> None:
+    leaves.append(s.name)
+    _spec_leaves(s.output_spec, leaves)
+    for ev in s.events:
+        leaves += (ev.node, ev.src)
+        if ev.spec is not None:
+            leaves.append(ev.spec.name)
+
+
+def _stamped(template: _Template, signature, texts: List[str]) -> _Template:
+    """*template* filled with a walked shard's leaf *texts*, except its
+    stamp slots, which stay fields."""
+    slots = _stamp_slots(signature)
+    values = [t.replace("%", "%%") for t in texts]
+    for k in slots:
+        values[k] = "%s"
+    where = {k: i for i, k in enumerate(slots)}
+    order = [where[k] for k in template.fields if k in where]
+    return _Template(template.fill(values), itemgetter(*order), len(slots),
+                     tuple(order))
+
+
 def _write_routed(routed: RoutedPlan, indent: Optional[int]) -> str:
     layout = _layout(indent)
     plan = routed.plan
@@ -513,15 +564,32 @@ def _write_routed(routed: RoutedPlan, indent: Optional[int]) -> str:
     leaves += itertools.chain.from_iterable(assignment)
     leaves += order
     leaves += itertools.chain.from_iterable(rows)
+    #: per shard: its template, or the walked shard it is stamped from,
+    #: and the position of its first leaf
     shards = []
+    #: walked shard → (signature, position of its first leaf)
+    walked: Dict[str, Tuple] = {}
+    sources = routed.stamp_sources()
     for name, s in sorted(routed.shards.items()):
         leaves.append(name)
-        shards.append(_shard_template(indent, _shard_leaves(s, leaves)))
-    texts = iter(_encode_leaves(leaves))
+        start = len(leaves)
+        source = sources.get(name)
+        if source is not None:
+            _stamp_leaves(s, leaves)
+            shards.append((source.name, start))
+        else:
+            signature = _shard_leaves(s, leaves)
+            walked[name] = (signature, start)
+            shards.append((_shard_template(indent, signature), start))
+    texts = _encode_leaves(leaves)
     del leaves
 
+    at = 0
+
     def take(n):
-        return tuple(itertools.islice(texts, n))
+        nonlocal at
+        at += n
+        return texts[at - n:at]
 
     head = take(2 + zero)
     colon = layout.assignment.colon
@@ -530,15 +598,28 @@ def _write_routed(routed: RoutedPlan, indent: Optional[int]) -> str:
     order = take(len(order))
     row = layout.row
     rows = [row.fill(take(row.size)) for _ in rows]
+    stamped: Dict[str, _Template] = {}
     colon = layout.shards.colon
-    shards = [next(texts) + colon + t.fill(take(t.size)) for t in shards]
-    del texts  # the leaf texts, free before the document is assembled
+    pieces = []
+    for template, start in shards:
+        if not isinstance(template, _Template):
+            source = template
+            template = stamped.get(source)
+            if template is None:
+                signature, first = walked[source]
+                full = _shard_template(indent, signature)
+                template = stamped[source] = _stamped(
+                    full, signature, texts[first:first + full.size]
+                )
+        pieces.append(texts[start - 1] + colon
+                      + template.fill(texts[start:start + template.size]))
+    del texts, stamped  # free before the document is assembled
     return layout.top[zero].fill([
         *head,
         layout.assignment.join(assignment),
         layout.order.join(order),
         layout.conversions.join(rows),
-        layout.shards.join(shards),
+        layout.shards.join(pieces),
     ])
 
 

@@ -13,7 +13,7 @@ from .scope import (
     normalize_scope,
     scopes_at_depth,
 )
-from .trim import TrimRecord, restore_auxiliary, trim_auxiliary
+from .trim import TrimRecord, attach_auxiliary, restore_auxiliary, trim_auxiliary
 
 __all__ = [
     "DType",
@@ -41,4 +41,5 @@ __all__ = [
     "TrimRecord",
     "trim_auxiliary",
     "restore_auxiliary",
+    "attach_auxiliary",
 ]

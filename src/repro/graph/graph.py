@@ -45,17 +45,19 @@ class Graph:
     # ------------------------------------------------------------------
     def add(self, op: Operator) -> Operator:
         """Insert *op*; all of its inputs must already be present."""
-        if op.name in self._ops:
-            raise GraphError(f"duplicate operator name {op.name!r}")
-        for src in op.inputs:
-            if src not in self._ops:
+        ops, name, inputs = self._ops, op.name, op.inputs
+        if name in ops:
+            raise GraphError(f"duplicate operator name {name!r}")
+        for src in inputs:
+            if src not in ops:
                 raise GraphError(
-                    f"operator {op.name!r} consumes unknown input {src!r}"
+                    f"operator {name!r} consumes unknown input {src!r}"
                 )
-        self._ops[op.name] = op
-        self._consumers[op.name] = []
-        for src in op.inputs:
-            self._consumers[src].append(op.name)
+        ops[name] = op
+        consumers = self._consumers
+        consumers[name] = []
+        for src in inputs:
+            consumers[src].append(name)
         self._topo_cache = None
         return op
 
@@ -149,7 +151,20 @@ class Graph:
         return list(order)
 
     def validate(self) -> None:
-        """Check DAG-ness and referential integrity; raises on failure."""
+        """Check DAG-ness and referential integrity; raises on failure.
+
+        :meth:`add` only accepts ops whose inputs are present, so insertion
+        order is topological unless an op's inputs were changed later: a
+        graph whose every op reads only ops inserted before it is valid.
+        Any other graph gets the full check.
+        """
+        seen: Set[str] = set()
+        for name, op in self._ops.items():
+            if not seen.issuperset(op.inputs):
+                break
+            seen.add(name)
+        else:
+            return
         self.topo_order()
         for op in self._ops.values():
             for src in op.inputs:

@@ -136,6 +136,26 @@ class Operator:
         if self.flops < 0:
             raise ValueError("flops must be non-negative")
 
+    def rewired(
+        self, inputs: Tuple[str, ...], weight: Optional[TensorSpec]
+    ) -> "Operator":
+        """A copy of this op reading *inputs* (a tuple) and holding *weight*,
+        with its own ``attrs`` dict.  The name and flops are this op's,
+        which ``__post_init__`` already checked, so the copy skips it.
+        Fields are set one by one, in declaration order, as ``__init__``
+        sets them: that keeps the instance's compact attribute layout,
+        which reads faster than a replaced ``__dict__``."""
+        op = object.__new__(Operator)
+        op.name = self.name
+        op.op_type = self.op_type
+        op.inputs = inputs
+        op.output = self.output
+        op.weight = weight
+        op.trainable = self.trainable
+        op.flops = self.flops
+        op.attrs = dict(self.attrs)
+        return op
+
     # ------------------------------------------------------------------
     @property
     def is_auxiliary(self) -> bool:

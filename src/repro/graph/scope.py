@@ -47,10 +47,13 @@ class ScopeNode:
         return len(self.ops) + sum(c.size for c in self.children.values())
 
     def walk(self) -> Iterable["ScopeNode"]:
-        """Pre-order traversal of the subtree."""
-        yield self
-        for child in self.children.values():
-            yield from child.walk()
+        """Pre-order traversal of the subtree (iterative: a recursive
+        generator pays one frame per level for every node it yields)."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children.values()))
 
     def all_op_names(self) -> List[str]:
         """Every operator name in the subtree, pre-order."""

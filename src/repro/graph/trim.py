@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 from .graph import Graph
 from .node import Operator
 
-__all__ = ["TrimRecord", "trim_auxiliary", "restore_auxiliary"]
+__all__ = ["TrimRecord", "trim_auxiliary", "restore_auxiliary", "attach_auxiliary"]
 
 
 @dataclass
@@ -64,56 +64,30 @@ def trim_auxiliary(graph: Graph) -> Tuple[Graph, TrimRecord]:
                 new_inputs.extend(forward[src])
             else:
                 new_inputs.append(src)
-        trimmed.add(
-            Operator(
-                name=op.name,
-                op_type=op.op_type,
-                inputs=tuple(dict.fromkeys(new_inputs)),
-                output=op.output,
-                weight=op.weight,
-                trainable=op.trainable,
-                flops=op.flops,
-                attrs=dict(op.attrs),
-            )
-        )
+        trimmed.add(op.rewired(tuple(dict.fromkeys(new_inputs)), op.weight))
     return trimmed, record
 
 
 def restore_auxiliary(graph: Graph, record: TrimRecord) -> Graph:
-    """Re-attach trimmed auxiliary ops to a (possibly rewritten) graph.
+    """Re-attach trimmed auxiliary ops to a copy of a (possibly rewritten)
+    graph; see :func:`attach_auxiliary`."""
+    restored = Graph(name=graph.name)
+    for op in graph:
+        restored.add(op.rewired(op.inputs, op.weight))
+    attach_auxiliary(restored, record)
+    return restored
+
+
+def attach_auxiliary(graph: Graph, record: TrimRecord) -> None:
+    """Append the trimmed auxiliary ops to *graph* in place.
 
     Auxiliary ops whose original producers vanished (e.g. replaced during
     rewriting) are re-attached without those inputs — initialisers and
     savers reference variables by name in real frameworks, so dangling data
-    edges are not an error.
+    edges are not an error.  An input counts as present only if *graph*
+    held it before this call, so one auxiliary op never wires to another.
     """
-    restored = Graph(name=graph.name)
-    for op in graph:
-        restored.add(
-            Operator(
-                name=op.name,
-                op_type=op.op_type,
-                inputs=op.inputs,
-                output=op.output,
-                weight=op.weight,
-                trainable=op.trainable,
-                flops=op.flops,
-                attrs=dict(op.attrs),
-            )
-        )
-    present = set(n.name for n in restored)
+    present = set(op.name for op in graph)
     for aux in record.removed:
         inputs = tuple(i for i in aux.inputs if i in present)
-        restored.add(
-            Operator(
-                name=aux.name,
-                op_type=aux.op_type,
-                inputs=inputs,
-                output=aux.output,
-                weight=aux.weight,
-                trainable=aux.trainable,
-                flops=aux.flops,
-                attrs=dict(aux.attrs),
-            )
-        )
-    return restored
+        graph.add(aux.rewired(inputs, aux.weight))

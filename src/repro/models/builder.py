@@ -22,6 +22,8 @@ class GraphBuilder:
     def __init__(self, name: str, emit_auxiliary: bool = True) -> None:
         self.graph = Graph(name=name)
         self._scopes: List[str] = []
+        #: ``"/".join(self._scopes)``, kept in step with the stack
+        self._scope_path = ""
         self._emit_auxiliary = emit_auxiliary
         self._counters: dict = {}
 
@@ -31,18 +33,21 @@ class GraphBuilder:
     @contextmanager
     def scope(self, name: str) -> Iterator[None]:
         """Enter a name scope; nests like ``tf.name_scope``."""
+        outer = self._scope_path
+        self._scope_path = f"{outer}/{name}" if self._scopes else name
         self._scopes.append(name)
         try:
             yield
         finally:
             self._scopes.pop()
+            self._scope_path = outer
 
     @property
     def current_scope(self) -> str:
-        return "/".join(self._scopes)
+        return self._scope_path
 
     def _qualify(self, name: str) -> str:
-        base = f"{self.current_scope}/{name}" if self._scopes else name
+        base = f"{self._scope_path}/{name}" if self._scopes else name
         if base not in self.graph:
             return base
         # mirror TF's `_1`, `_2` uniquification for repeated layer calls

@@ -56,6 +56,7 @@ import numpy as np
 from ..cluster import Mesh
 from ..core.cost import CostConfig
 from ..core.plan import RoutedPlan
+from ..obs import metrics
 
 __all__ = [
     "CHANNEL_NAMES",
@@ -312,6 +313,8 @@ def compile_columnar_tape(
         routed, mesh, cfg, rec, groups, dp
     )
     tape = _flatten(routed, fwd_tape, bwd_tape, bucket_plan, stats, sig_ids)
+    if metrics.enabled():
+        metrics.counter("sim.tapes_compiled", 1)
     problems = columnar_tape_invariants(routed, tape)
     if problems:
         raise ValueError(
@@ -483,6 +486,9 @@ def _pack_rows(columns: Sequence[np.ndarray], width: int, lead: Optional[np.ndar
 def _profiles_from_tapes(tapes: Sequence[ColumnarTape]):
     """Replay every tape with two batched prefix sums; one profile each."""
     from .iteration import IterationProfile
+
+    if metrics.enabled():
+        metrics.counter("sim.tapes_replayed", len(tapes))
 
     fwd_width = max((len(t.fwd_dur_col) for t in tapes), default=0)
     bwd_width = max((len(t.bwd_dur_col) for t in tapes), default=0)

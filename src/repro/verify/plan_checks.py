@@ -743,8 +743,10 @@ def verify_rewrite(
             )
 
     # dropped collectives: a consumer op reading straight across a node
-    # boundary whose conversion the plan priced
-    for op in rewrite.graph:
+    # boundary whose conversion the plan priced (a plan pricing none, such
+    # as any pure data-parallel one, cannot drop one)
+    priced = any(routed.conversions.values())
+    for op in rewrite.graph if priced else ():
         if op.is_communication:
             continue
         node_name = op_to_node.get(op.name)

@@ -101,6 +101,15 @@ class TestErrors:
         # without a graph to check against, loading succeeds
         assert plan_from_json(text).tp_degree == 2
 
+    def test_unknown_nodes_all_named_by_the_verifier_rule(self, t5_nodes):
+        ghosts = {f"ghost/node_{i}": "split_col" for i in range(7)}
+        text = plan_to_json(ShardingPlan.of(ghosts, 2))
+        with pytest.raises(PlanLoadError) as err:
+            plan_from_json(text, t5_nodes)
+        message = str(err.value)
+        assert message.count("plan/unknown-node") == len(ghosts)
+        assert all(repr(name) in message for name in ghosts)
+
     def test_load_runs_static_verifier(self, t5_nodes, tmp_path):
         """A saved plan violating divisibility fails verified loading."""
         node = next(

@@ -145,3 +145,75 @@ def test_cost_model_total_on_routable_plans(case):
     for value in bd.as_dict().values():
         assert value >= 0.0
         assert value < float("inf")
+
+
+# ---------------------------------------------------------------------------
+# block-granular routing: stamped instances equal the per-node walk
+# ---------------------------------------------------------------------------
+
+def _stack():
+    from repro.core.pruning import prune_graph
+
+    graph = build_t5(TransformerConfig(encoder_layers=3, decoder_layers=3,
+                                       hidden=64, ffn_dim=128, num_heads=4,
+                                       vocab=128))
+    trimmed, _ = trim_auxiliary(graph)
+    ng = coarsen(trimmed)
+    # routing stamps repeated instances only when the graph carries a
+    # memoised prune result, as a searched graph does
+    return ng, prune_graph(ng).families
+
+
+STACK, FAMILIES = _stack()
+
+
+@st.composite
+def stack_plans(draw):
+    """Non-winner plans over every layer: per family a drawn template
+    assignment broadcast to all instances, then random per-node
+    overrides, so instances sometimes match and sometimes do not."""
+    assignment = {}
+    for family in FAMILIES:
+        template = family.member_nodes[0]
+        weights = [n for n in template if STACK.node(n).weights]
+        picks = {
+            i: draw(st.sampled_from(["replicate", "split_col", "split_row"]))
+            for i, n in enumerate(template)
+            if n in weights and draw(st.booleans())
+        }
+        for members in family.member_nodes:
+            for i, pattern in picks.items():
+                assignment[members[i]] = pattern
+    overrides = draw(st.lists(
+        st.tuples(st.sampled_from([n.name for n in STACK.weight_nodes()]),
+                  st.sampled_from(ALL_PATTERNS)),
+        max_size=2,
+    ))
+    assignment.update(overrides)
+    tp = draw(st.sampled_from([1, 2, 4]))
+    zero = draw(st.sampled_from([0, 1]))
+    return ShardingPlan.of(assignment, tp, zero_stage=zero)
+
+
+@given(stack_plans())
+@settings(max_examples=150, deadline=None)
+def test_block_routing_equals_the_walk(plan):
+    """route_plan's stamped instances are exactly what walk_plan routes,
+    for winners and non-winners alike — or both raise the same error."""
+    from repro.cluster import Mesh
+    from repro.core import CostModel, routed_to_json
+    from repro.core.routing import walk_plan
+
+    try:
+        oracle = walk_plan(STACK, plan, DEFAULT_REGISTRY)
+    except RoutingError as exc:
+        with pytest.raises(RoutingError) as got:
+            route_plan(STACK, plan, DEFAULT_REGISTRY)
+        assert str(got.value) == str(exc)
+        return
+    routed = route_plan(STACK, plan, DEFAULT_REGISTRY)
+    assert routed == oracle
+    assert list(routed.conversions.items()) == list(oracle.conversions.items())
+    assert routed_to_json(routed) == routed_to_json(oracle)
+    cm = CostModel(Mesh(1, 4))
+    assert cm.estimate(routed) == CostModel(Mesh(1, 4)).estimate(oracle)
