@@ -18,9 +18,9 @@ several to hundreds of times slower, is timed in one window.
 
 The bench gates itself: the speed-up floors stand in for the walls
 (which are reported, not gated), the tape compiler's work counters
-(nodes, segments, nodes replayed, plans batched) and the simulator's
-per-call work (tapes compiled and replayed) are pinned exactly, and
-peak tracked memory is held to ``PEAK_SLACK`` times a pinned value.
+(nodes, signatures priced, plans batched) and the simulator's per-call
+work (tapes compiled and replayed) are pinned exactly, and peak tracked
+memory is held to ``PEAK_SLACK`` times a pinned value.
 """
 
 import time
@@ -77,15 +77,16 @@ BATCH_ROUNDS = 5
 #: (loaded: t5-48L 34x-50x with 25x seen before, resnet-100K 5.9x-10x).
 MIN_SPEEDUP = {"t5-48L": 12.0, "resnet-100K": 3.5}
 
-#: Deterministic tape-compiler work, pinned exactly:
-#: (routed nodes, replay segments, nodes replayed) for the cold sweep ...
-COUNTERS = {"t5-48L": (1400, 2, 1363), "resnet-100K": (74, 5, 33)}
-#: ... the work of one cold `simulate_iteration` call, read from the
-#: simulator's obs counters: (tapes compiled, tapes replayed) ...
+#: Deterministic tape-compiler work, pinned exactly, read from the
+#: simulator's obs counters: (routed nodes, signatures priced) for the
+#: cold sweep ...
+COUNTERS = {"t5-48L": (1400, 12), "resnet-100K": (74, 27)}
+#: ... the work of one cold `simulate_iteration` call: (tapes compiled,
+#: tapes replayed) ...
 SIM_WORK = (1, 1)
-#: ... and (routed nodes, replay segments) for the warm large-zoo sweep.
+#: ... and (routed nodes, signatures priced) for the warm large-zoo sweep.
 LARGE_COUNTERS = {
-    "t5-96L": (2792, 4), "resnet-300K": (74, 5), "moe-deep": (629, 1),
+    "t5-96L": (2792, 12), "resnet-300K": (74, 27), "moe-deep": (629, 13),
 }
 #: Named baseline plans priced by the batched what-if.
 BATCH_PLANS = 4
@@ -131,8 +132,7 @@ def _time_warm(routed, mesh, cfg, tier):
 
 
 def _assert_parity(label, routed, mesh, cfg):
-    """Both tiers must agree bit-for-bit before timing is trusted;
-    returns the columnar profile."""
+    """Both tiers must agree bit-for-bit before timing is trusted."""
     from repro.simulator import simulate_iteration
 
     ref = simulate_iteration(routed, mesh, cfg, engine="reference")
@@ -140,19 +140,23 @@ def _assert_parity(label, routed, mesh, cfg):
     col = simulate_iteration(routed, mesh, cfg, engine="columnar")
     assert col.as_dict() == ref.as_dict(), label
     assert _logs(col) == _logs(ref), label
-    return col
 
 
 def _cold_work(routed, mesh, cfg):
-    """(tapes compiled, tapes replayed) by one cold simulation."""
+    """((tapes compiled, tapes replayed), signatures priced) by one cold
+    simulation."""
     from repro import obs
     from repro.simulator import simulate_iteration
 
     routed._sim_cache.clear()
     with obs.capture() as sink:
         simulate_iteration(routed, mesh, cfg)
-    return (int(sink.counters.get("sim.tapes_compiled", 0)),
-            int(sink.counters.get("sim.tapes_replayed", 0)))
+    counters = sink.counters
+    return (
+        (int(counters.get("sim.tapes_compiled", 0)),
+         int(counters.get("sim.tapes_replayed", 0))),
+        int(counters.get("sim.signatures_priced", 0)),
+    )
 
 
 def _cold_peak_mb(routed, mesh, cfg):
@@ -172,7 +176,7 @@ def large_sweep():
         ng = nodes_for(build_preset(preset))
         plan = NAMED_PLANS["megatron"](ng, mesh.gpus_per_node)
         routed = route_plan(ng, plan, DEFAULT_REGISTRY)
-        prof = _assert_parity(label, routed, mesh, cfg)
+        _assert_parity(label, routed, mesh, cfg)
 
         t_ref = _time_warm(routed, mesh, cfg, "reference")
         t_col = min(_time_warm(routed, mesh, cfg, "columnar")
@@ -186,7 +190,7 @@ def large_sweep():
                 "reference_s": t_ref,
                 "columnar_s": t_col,
                 "speedup": t_ref / t_col,
-                "segments": prof.segments_detected,
+                "signatures": _cold_work(routed, mesh, cfg)[1],
                 "peak_mem_mb": _cold_peak_mb(routed, mesh, cfg),
             }
         )
@@ -267,15 +271,15 @@ def sweep():
                         *(_time_rounds(routed, mesh, cfg, "columnar")
                           for _ in range(3)))
 
+        work, signatures = _cold_work(routed, mesh, cfg)
         rows.append(
             {
                 "model": label,
                 "nodes": len(routed.order),
                 "ref_seconds": t_ref,
                 "col_seconds": t_col,
-                "segments": col_prof.segments_detected,
-                "replayed": col_prof.nodes_replayed,
-                "work": _cold_work(routed, mesh, cfg),
+                "signatures": signatures,
+                "work": work,
                 "peak_mem_mb": _cold_peak_mb(routed, mesh, cfg),
             }
         )
@@ -302,8 +306,7 @@ def _legacy_records(rows):
             "optimized_s": r["col_seconds"],
             "speedup": r["ref_seconds"] / r["col_seconds"],
             "nodes": r["nodes"],
-            "segments": r["segments"],
-            "nodes_replayed": r["replayed"],
+            "signatures": r["signatures"],
             "peak_mem_mb": r["peak_mem_mb"],
         }
         for r in rows
@@ -315,7 +318,7 @@ def test_sim_hotpath_replay_speedup(run_once):
     rows = run_once(_legacy_rows)
     table = format_table(
         ["model", "nodes", f"reference (s, {ROUNDS} rounds)",
-         "columnar (s)", "speed-up", "segments", "nodes replayed"],
+         "columnar (s)", "speed-up", "signatures priced"],
         [
             [
                 r["model"],
@@ -323,8 +326,7 @@ def test_sim_hotpath_replay_speedup(run_once):
                 f"{r['ref_seconds']:.3f}",
                 f"{r['col_seconds']:.3f}",
                 f"{r['ref_seconds'] / r['col_seconds']:.1f}x",
-                r["segments"],
-                r["replayed"],
+                r["signatures"],
             ]
             for r in rows
         ],
@@ -334,16 +336,16 @@ def test_sim_hotpath_replay_speedup(run_once):
     emit("sim_hotpath", table)
 
     for r in rows:
-        # the tape compiler found the layer stacks (ResNet's giant head is
-        # unique, so only its trunk replays — a third is the floor)
-        assert r["segments"] >= 1, r["model"]
-        assert r["replayed"] > r["nodes"] // 3, r["model"]
+        # the tape compiler shares pricing across the layer stacks
+        # (ResNet's stages and giant head are unique, so only its trunk
+        # blocks share — half the nodes is the ceiling)
+        assert r["signatures"] < r["nodes"] // 2, r["model"]
         # and the whole point: pricing once, replaying often is faster
         speedup = r["ref_seconds"] / r["col_seconds"]
         assert speedup >= MIN_SPEEDUP[r["model"]], (r["model"], speedup)
         # the compiled tape is deterministic, node for node
-        assert (r["nodes"], r["segments"], r["replayed"]) == \
-            COUNTERS[r["model"]], r["model"]
+        assert (r["nodes"], r["signatures"]) == COUNTERS[r["model"]], \
+            r["model"]
         assert r["work"] == SIM_WORK, (r["model"], r["work"])
         assert r["peak_mem_mb"] <= PEAK_SLACK * PEAK_MB[r["model"]], (
             r["model"], r["peak_mem_mb"])
@@ -391,7 +393,7 @@ def test_sim_columnar_zoo_and_batch(run_once):
     for r in zoo:
         assert r["speedup"] >= MIN_COLUMNAR_SPEEDUP[r["model"]], (
             r["model"], r["speedup"])
-        assert (r["nodes"], r["segments"]) == LARGE_COUNTERS[r["model"]], r
+        assert (r["nodes"], r["signatures"]) == LARGE_COUNTERS[r["model"]], r
         assert r["peak_mem_mb"] <= PEAK_SLACK * PEAK_MB[r["model"]], (
             r["model"], r["peak_mem_mb"])
     assert batch["plans"] == BATCH_PLANS, batch

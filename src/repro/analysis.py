@@ -28,6 +28,7 @@ from .core import (
     RoutingError,
     ShardingPlan,
     derive_plan,
+    normalize_engine,
     route_plan,
     what_if_profiles,
 )
@@ -98,13 +99,14 @@ def evaluate_plan(
     config: Optional[CostConfig] = None,
     registry: PatternRegistry = DEFAULT_REGISTRY,
     name: Optional[str] = None,
-    engine=None,
+    engine="columnar",
 ) -> PlanEvaluation:
     """Price one plan; invalid plans return a marked, infinite evaluation.
 
-    ``engine`` selects the simulation tier (``None`` → the columnar
-    default); both tiers produce bit-identical evaluations.
+    ``engine`` selects the simulation tier (``"columnar"`` or the
+    ``"reference"`` oracle); both tiers produce bit-identical evaluations.
     """
+    normalize_engine(engine)
     label = name or plan.name or "plan"
     try:
         routed = route_plan(node_graph, plan, registry)
@@ -132,6 +134,7 @@ def compare_plans(
     per-plan oracle loop, bit-identically.  Returns evaluations
     sorted by communication cost (TAP's objective).
     """
+    normalize_engine(engine)
     tp = tp_degree if tp_degree is not None else mesh.gpus_per_node
     labelled: List = [
         (name, builder(node_graph, tp)) for name, builder in NAMED_PLANS.items()
@@ -164,7 +167,7 @@ def sweep(
     configurations: Dict[str, Mesh],
     batch_tokens: Sequence[int] = (16 * 512,),
     registry: PatternRegistry = DEFAULT_REGISTRY,
-    engine=None,
+    engine="columnar",
 ) -> List[Dict]:
     """Derive TAP's plan across meshes × batch sizes.
 
@@ -175,6 +178,7 @@ def sweep(
     ``simulate_iteration`` calls on the *engine* tier rather than one
     batch (batching shares a mesh/config across plans).
     """
+    normalize_engine(engine)
     records: List[Dict] = []
     for mesh_name, mesh in configurations.items():
         for tokens in batch_tokens:
@@ -204,7 +208,7 @@ def zero_crossover(
     tp_degree: Optional[int] = None,
     stages: Sequence[int] = (0, 1, 2),
     registry: PatternRegistry = DEFAULT_REGISTRY,
-    engine=None,
+    engine="columnar",
 ) -> List[Dict]:
     """The memory-vs-communication trade of the ZeRO axis, per stage.
 
@@ -218,6 +222,7 @@ def zero_crossover(
     The crossover question — "is ZeRO worth it here?" — is answered by
     where the saved bytes start mattering more than the added seconds.
     """
+    normalize_engine(engine)
     cfg = config or CostConfig()
     result = derive_plan(
         node_graph,

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 from ..cluster import Mesh
 from ..graph import Graph, trim_auxiliary
 from .cost import CostBreakdown, CostConfig, CostModel
+from .evaluate import normalize_engine
 from .graphnode import NodeGraph, coarsen
 from .packing import PackingConfig
 from .patterns import DEFAULT_REGISTRY, PatternRegistry
@@ -177,9 +178,9 @@ def what_if_profiles(
     Returns a list aligned with *plans*: ``(routed, profile)`` per
     routable plan, ``None`` where routing failed.
     """
-    from ..simulator import normalize_sim_engine, simulate_batch, simulate_iteration
+    from ..simulator import simulate_batch, simulate_iteration
 
-    tier = normalize_sim_engine(engine)
+    tier = normalize_engine(engine)
     mesh = split(mesh)
     cfg = config or CostConfig()
     slots = []

@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 from .graph import Graph
 from .node import Operator
 
-__all__ = ["TrimRecord", "trim_auxiliary", "restore_auxiliary", "attach_auxiliary"]
+__all__ = ["TrimRecord", "trim_auxiliary", "attach_auxiliary"]
 
 
 @dataclass
@@ -66,16 +66,6 @@ def trim_auxiliary(graph: Graph) -> Tuple[Graph, TrimRecord]:
                 new_inputs.append(src)
         trimmed.add(op.rewired(tuple(dict.fromkeys(new_inputs)), op.weight))
     return trimmed, record
-
-
-def restore_auxiliary(graph: Graph, record: TrimRecord) -> Graph:
-    """Re-attach trimmed auxiliary ops to a copy of a (possibly rewritten)
-    graph; see :func:`attach_auxiliary`."""
-    restored = Graph(name=graph.name)
-    for op in graph:
-        restored.add(op.rewired(op.inputs, op.weight))
-    attach_auxiliary(restored, record)
-    return restored
 
 
 def attach_auxiliary(graph: Graph, record: TrimRecord) -> None:

@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence
 
 from ..cluster import Mesh
 from ..core.cost import CostConfig, CostModel
+from ..core.evaluate import normalize_engine
 from ..core.graphnode import NodeGraph
 from ..core.patterns import DEFAULT_REGISTRY, PatternRegistry
 from ..core.planner import SearchResult, derive_plan
@@ -93,7 +94,7 @@ def pipeline_with_tap(
     microbatches: int = 8,
     cost_config: Optional[CostConfig] = None,
     registry: PatternRegistry = DEFAULT_REGISTRY,
-    engine=None,
+    engine="columnar",
 ) -> HybridPipelinePlan:
     """Slice into stages, run TAP per stage, assemble the hybrid plan.
 
@@ -113,6 +114,7 @@ def pipeline_with_tap(
         )
     if microbatches < 1:
         raise ValueError("microbatches must be >= 1")
+    normalize_engine(engine)
 
     cfg = cost_config or CostConfig()
     order = node_graph.topo_order()

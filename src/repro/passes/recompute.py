@@ -50,10 +50,10 @@ class RecomputePolicy:
 
         A recomputed node replays its forward pass before differentiating,
         so its backward costs one extra forward (+1.0 on the base factor);
-        checkpointed and unique nodes keep the base factor.  The simulator
-        charges this per node, which keeps the cost where the schedule puts
-        it (and keeps sqrt-N's checkpoint/recompute alternation visible to
-        segment detection) instead of smearing it across the whole pass.
+        checkpointed and unique nodes keep the base factor.  Both simulator
+        tiers charge this per node (the columnar tape keys its signatures
+        on it), which keeps the cost where the schedule puts it instead of
+        smearing it across the whole pass.
         """
         if node_name in self.recompute_nodes:
             return base_factor + 1.0

@@ -197,9 +197,7 @@ class SimulateRequest:
         if self.tp_degree is not None and self.tp_degree < 1:
             raise ValueError(f"tp_degree must be >= 1, got {self.tp_degree}")
         # Fail fast on a bad simulation-tier name at the client boundary.
-        from ..simulator import normalize_sim_engine
-
-        normalize_sim_engine(self.engine)
+        normalize_engine(self.engine)
         if self.tp_degrees is not None:
             object.__setattr__(self, "tp_degrees", tuple(self.tp_degrees))
 

@@ -1,13 +1,7 @@
 """Discrete-event training simulator: timing, memory, fusion, convergence."""
 
 from .engine import Channel, Engine, Task
-from .iteration import (
-    IterationProfile,
-    SIM_ENGINE_TIERS,
-    detect_segments,
-    normalize_sim_engine,
-    simulate_iteration,
-)
+from .iteration import IterationProfile, simulate_iteration
 from .columnar import (
     ColumnarTape,
     columnar_tape_invariants,
@@ -34,10 +28,7 @@ __all__ = [
     "Engine",
     "Task",
     "IterationProfile",
-    "SIM_ENGINE_TIERS",
-    "normalize_sim_engine",
     "simulate_iteration",
-    "detect_segments",
     "ColumnarTape",
     "columnar_tape_invariants",
     "compile_columnar_tape",

@@ -1,11 +1,12 @@
-"""Columnar simulation tier: vectorized tape replay + batched what-ifs.
+"""Columnar simulation tier: one-pass tape compile + prefix-sum replay.
 
-The tape compiler (:func:`.iteration._compile_tape`) prices a routed plan
-once per distinct node signature into a per-node tape; this module
-flattens that tape into numpy struct-of-arrays — interned task names,
-int8 channel codes, float64 per-event duration columns, int32
-segment-repeat tables from :func:`detect_segments` — and then replays the
-timeline with prefix sums instead of a per-event Python loop.
+The tape compiler (:func:`compile_columnar_tape`) walks ``routed.order``
+once, prices each distinct node signature once (the shared-subgraph
+families Algorithm 1 exploits, applied to the simulator) and writes the
+struct-of-arrays columns directly — interned task names, int8 channel
+codes, float64 per-event duration columns, the gradient sources and the
+pre-packed bucket tables — then replays the timeline with prefix sums
+instead of a per-event Python loop.
 
 Why a prefix sum is *bit-exact* and not an approximation: the event loop
 (:meth:`.engine.Channel.submit`) executes ``start = max(free, ready); end
@@ -41,9 +42,9 @@ traces, idle-time analysis); profile-only callers never pay for it.
 are padded with trailing ``0.0`` (adding ``+0.0`` is exact, and the pads
 sit after every real event, so real prefixes are untouched) and stacked
 into a ``(plans, events)`` matrix, replacing N timeline folds with one
-``np.cumsum(axis=1)``.  Plans from the same graph share the compile-side
-skeleton (signature pricing, interning, segment detection) through the
-tape caches; only their routing/collective columns differ.
+``np.cumsum(axis=1)``.  Each plan's tape compiles independently and is
+cached on its own :class:`RoutedPlan`; plans share only the value-keyed
+group and gradient-packing caches of this module.
 """
 
 from __future__ import annotations
@@ -53,10 +54,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cluster import Mesh
-from ..core.cost import CostConfig
+from ..cluster import Mesh, collective_time
+from ..core.cost import CostConfig, CostModel
+from ..core.packing import pack_gradients
 from ..core.plan import RoutedPlan
 from ..obs import metrics
+from .iteration import IterationProfile
 
 __all__ = [
     "CHANNEL_NAMES",
@@ -64,7 +67,6 @@ __all__ = [
     "ColumnarTape",
     "compile_columnar_tape",
     "columnar_tape_invariants",
-    "simulate_columnar",
     "simulate_batch",
 ]
 
@@ -113,23 +115,59 @@ class ColumnarTape:
     #: the comm channel after the last reduction.
     gather_secs_tab: Dict[str, np.ndarray]
     gather_name_tab: Dict[str, np.ndarray]
-    #: int32 ``(start, period, repeats)`` rows covering the signature
-    #: sequence of ``routed.order`` (tandem repeats from detect_segments).
-    seg_tab: np.ndarray
     #: busy-time folds, precomputed in the event loop's accumulation order.
     compute_busy: float
     comm_busy: float
     gradient_sync: float
     weight_gather: float
     num_buckets: int
-    #: provenance / diagnostics.
+    #: provenance: the routed node count the tape was compiled for.
     nodes: int
-    segments_detected: int
-    nodes_replayed: int
 
 
 # ---------------------------------------------------------------------------
-# compilation: priced tape -> columns
+# shared caches (cheap, value-keyed, bounded)
+# ---------------------------------------------------------------------------
+
+#: (mesh, tp_degree) -> ({"tp": g, "dp": g, "all": g}, dp_degree)
+_GROUP_CACHE: Dict[Tuple, Tuple[Dict[str, object], int]] = {}
+_GROUP_CACHE_LIMIT = 256
+
+#: (sizes tuple, PackingConfig) -> tuple of Buckets
+_PACK_CACHE: Dict[Tuple, Tuple] = {}
+_PACK_CACHE_LIMIT = 4096
+
+
+def _groups_for(mesh: Mesh, cfg: CostConfig, tp_degree: int):
+    key = (mesh, tp_degree)
+    got = _GROUP_CACHE.get(key)
+    if got is None:
+        cm = CostModel(mesh, cfg)
+        tp_group, dp_group, all_group = cm.groups(tp_degree)
+        got = (
+            {"tp": tp_group, "dp": dp_group, "all": all_group},
+            cm.dp_degree(tp_degree),
+        )
+        if len(_GROUP_CACHE) >= _GROUP_CACHE_LIMIT:
+            _GROUP_CACHE.pop(next(iter(_GROUP_CACHE)))
+        _GROUP_CACHE[key] = got
+    return got
+
+
+def _packed(sizes: Tuple[int, ...], packing) -> Tuple:
+    """``pack_gradients`` memoised on stream content (as evaluate.py does)."""
+    key = (sizes, packing)
+    got = _PACK_CACHE.get(key)
+    if got is None:
+        got = tuple(pack_gradients(list(sizes), packing))
+        if len(_PACK_CACHE) >= _PACK_CACHE_LIMIT:
+            _PACK_CACHE.pop(next(iter(_PACK_CACHE)))
+        _PACK_CACHE[key] = got
+    return got
+
+
+# ---------------------------------------------------------------------------
+# compilation: routed plan -> columns, one pass
 # ---------------------------------------------------------------------------
 
 def _fold(values: Sequence[float]) -> float:
@@ -140,9 +178,46 @@ def _fold(values: Sequence[float]) -> float:
     return float(np.cumsum(np.asarray(values, dtype=np.float64))[-1])
 
 
-def _flatten(
-    routed: RoutedPlan, fwd_tape, bwd_tape, bucket_plan, stats, sig_ids
-) -> ColumnarTape:
+def _compile(
+    routed: RoutedPlan, mesh: Mesh, cfg: CostConfig, rec
+) -> Tuple[ColumnarTape, int]:
+    """Price every distinct node signature once and write the columns.
+
+    Returns the tape and the number of signatures priced.  A signature is
+    (pattern, FLOPs, compute share, backward factor, event list keyed on
+    shape + dtype — never the tensor name, which differs per layer
+    instance but never affects timing); its collective prices, compute
+    durations and gradient packets are computed on first sight and
+    stamped onto every later node that shares it.
+    """
+    groups, dp = _groups_for(mesh, cfg, routed.tp_degree)
+    tokens = max(cfg.batch_tokens // dp, 1)
+    eff = mesh.effective_flops
+    base_factor = cfg.backward_flops_factor
+    use_eff = cfg.use_efficiency
+
+    price_cache: Dict[Tuple, float] = {}
+    nbytes_cache: Dict[Tuple, int] = {}
+
+    def price(collective: str, nbytes: int, axis: str) -> float:
+        key = (collective, nbytes, axis)
+        secs = price_cache.get(key)
+        if secs is None:
+            secs = collective_time(
+                collective, nbytes, groups[axis], use_efficiency=use_eff
+            )
+            price_cache[key] = secs
+        return secs
+
+    def event_nbytes(ev) -> int:
+        # nbytes depends on the structural spec and nothing else
+        key = (ev.spec.shape, ev.spec.dtype, ev.scales_with_batch)
+        nb = nbytes_cache.get(key)
+        if nb is None:
+            nb = ev.nbytes(tokens)
+            nbytes_cache[key] = nb
+        return nb
+
     intern: Dict[str, int] = {}
     names: List[str] = []
 
@@ -154,36 +229,89 @@ def _flatten(
             names.append(name)
         return got
 
+    # per signature: (fwd comms, t_fwd, bwd comms, t_bwd, gradient packets)
+    # with comms as (task-name prefix, seconds) and packets as (axis, nbytes)
+    sig_table: Dict[Tuple, int] = {}
+    progs: List[Tuple] = []
+    node_progs: List[Tuple] = []
     f_dur: List[float] = []
     f_ch: List[int] = []
     f_nm: List[int] = []
-    for comms, task_name, secs in fwd_tape:
-        for cname, csecs in comms:
-            f_dur.append(csecs)
+    for name in routed.order:
+        shard = routed.shards[name]
+        bwd_factor = (
+            rec.backward_factor(name, base_factor) if rec is not None else base_factor
+        )
+        sig = (
+            shard.pattern,
+            shard.flops,
+            shard.compute_share,
+            bwd_factor,
+            tuple(
+                (ev.phase, ev.collective, ev.axis, ev.overlappable,
+                 ev.spec.shape, ev.spec.dtype, ev.scales_with_batch)
+                for ev in shard.events
+            ),
+        )
+        sid = sig_table.get(sig)
+        if sid is None:
+            sid = len(progs)
+            sig_table[sig] = sid
+            fwd: List[Tuple[str, float]] = []
+            bwd: List[Tuple[str, float]] = []
+            grads: List[Tuple[str, int]] = []
+            for ev in shard.events:
+                if ev.phase == "backward" and ev.overlappable:
+                    grads.append((ev.axis, event_nbytes(ev)))
+                    continue
+                secs = price(ev.collective, event_nbytes(ev), ev.axis)
+                if ev.phase == "forward":
+                    fwd.append((f"fwd:{ev.collective}@", secs))
+                else:
+                    bwd.append((f"bwd:{ev.collective}@", secs))
+            # same association order as the reference loop's expressions
+            t_fwd = shard.flops * tokens * shard.compute_share / eff
+            t_bwd = bwd_factor * shard.flops * tokens * shard.compute_share / eff
+            progs.append((tuple(fwd), t_fwd, tuple(bwd), t_bwd, tuple(grads)))
+        prog = progs[sid]
+        node_progs.append(prog)
+        for prefix, secs in prog[0]:
+            f_dur.append(secs)
             f_ch.append(1)
-            f_nm.append(nid(cname))
-        f_dur.append(secs)
+            f_nm.append(nid(prefix + name))
+        f_dur.append(prog[1])
         f_ch.append(0)
-        f_nm.append(nid(task_name))
+        f_nm.append(nid("fwd:" + name))
 
+    # backward: reverse node order; each node's compute end is the ready
+    # input of its gradient packets, streamed per axis in production order
     b_dur: List[float] = []
     b_ch: List[int] = []
     b_nm: List[int] = []
     grad_src: Dict[str, List[int]] = {axis: [] for axis in GRAD_AXES}
-    for comms, task_name, secs, grads in bwd_tape:
-        for cname, csecs in comms:
-            b_dur.append(csecs)
+    stream: Dict[str, List[int]] = {axis: [] for axis in GRAD_AXES}
+    for name, (_, _, bwd, t_bwd, grads) in zip(
+        reversed(routed.order), reversed(node_progs)
+    ):
+        for prefix, secs in bwd:
+            b_dur.append(secs)
             b_ch.append(1)
-            b_nm.append(nid(cname))
-        b_dur.append(secs)
+            b_nm.append(nid(prefix + name))
+        b_dur.append(t_bwd)
         b_ch.append(0)
-        b_nm.append(nid(task_name))
+        b_nm.append(nid("bwd:" + name))
         if grads:
             src = len(b_dur) - 1
-            for axis, _nb in grads:
+            for axis, nbytes in grads:
                 grad_src[axis].append(src)
+                stream[axis].append(nbytes)
 
+    # Pre-pack the gradient streams: packet sizes are static per tape, only
+    # their ready times depend on the timeline.  Under ZeRO the reduction
+    # is a reduce-scatter and each bucket also prices its post-step weight
+    # all-gather.
     zero_on = routed.plan.zero_stage >= 1
+    grad_collective = "reduce_scatter" if zero_on else "all_reduce"
     bucket_axes: List[str] = []
     bucket_lo_tab: Dict[str, np.ndarray] = {}
     bucket_secs_tab: Dict[str, np.ndarray] = {}
@@ -192,42 +320,44 @@ def _flatten(
     gather_name_tab: Dict[str, np.ndarray] = {}
     bucket_secs_all: List[float] = []
     gather_secs_all: List[float] = []
-    num_buckets = 0
-    for axis, rows in bucket_plan:
+    for axis in GRAD_AXES:
+        sizes = stream[axis]
+        if not sizes:
+            continue
         bucket_axes.append(axis)
-        bucket_lo_tab[axis] = np.asarray([r[0] for r in rows], dtype=np.int32)
-        secs_list = [r[3] for r in rows]
+        lo_list: List[int] = []
+        secs_list: List[float] = []
+        gather_list: List[float] = []
+        lo = 0
+        for bucket in _packed(tuple(sizes), cfg.packing):
+            lo_list.append(lo)
+            lo += bucket.num_tensors
+            secs_list.append(price(grad_collective, bucket.nbytes, axis))
+            if zero_on:
+                gather_list.append(price("all_gather", bucket.nbytes, axis))
+        bucket_lo_tab[axis] = np.asarray(lo_list, dtype=np.int32)
         bucket_secs_tab[axis] = np.asarray(secs_list, dtype=np.float64)
-        bucket_name_tab[axis] = np.asarray(
-            [nid(r[2]) for r in rows], dtype=np.int32
+        bucket_name_tab[axis] = np.full(
+            len(lo_list), nid("grad:" + axis), dtype=np.int32
         )
         bucket_secs_all.extend(secs_list)
-        num_buckets += len(rows)
+        gather_secs_tab[axis] = np.asarray(gather_list, dtype=np.float64)
         if zero_on:
-            # one weight all-gather per bucket; the name is interned only
-            # when ZeRO is on so zero-off tapes stay byte-identical
-            gather_list = [r[4] for r in rows]
-            gather_secs_tab[axis] = np.asarray(gather_list, dtype=np.float64)
-            gather_name_tab[axis] = np.asarray(
-                [nid("wgather:" + axis)] * len(rows), dtype=np.int32
+            # the gather name is interned only when ZeRO is on, so zero-off
+            # tapes carry no unused names
+            gather_name_tab[axis] = np.full(
+                len(lo_list), nid("wgather:" + axis), dtype=np.int32
             )
-            gather_secs_all.extend(gather_list)
         else:
-            gather_secs_tab[axis] = np.empty(0, dtype=np.float64)
             gather_name_tab[axis] = np.empty(0, dtype=np.int32)
+        gather_secs_all.extend(gather_list)
 
     fwd_dur_col = np.asarray(f_dur, dtype=np.float64)
     fwd_ch_col = np.asarray(f_ch, dtype=np.int8)
     bwd_dur_col = np.asarray(b_dur, dtype=np.float64)
     bwd_ch_col = np.asarray(b_ch, dtype=np.int8)
-
     fwd_comm_idx = np.flatnonzero(fwd_ch_col == 1)
     bwd_comm_idx = np.flatnonzero(bwd_ch_col == 1)
-
-    from .iteration import detect_segments
-
-    seg_tab = np.asarray(detect_segments(sig_ids), dtype=np.int32).reshape(-1, 3)
-    segments_detected, nodes_replayed = stats
 
     # Busy sums replicate the event loop's fold order exactly: forward
     # comms, backward comms, bucket rows, then weight gathers on the comm
@@ -250,9 +380,8 @@ def _flatten(
             )
         )
     )
-    gradient_sync = _fold(bucket_secs_all)
 
-    return ColumnarTape(
+    tape = ColumnarTape(
         names=tuple(names),
         fwd_dur_col=fwd_dur_col,
         fwd_ch_col=fwd_ch_col,
@@ -272,16 +401,14 @@ def _flatten(
         bucket_name_tab=bucket_name_tab,
         gather_secs_tab=gather_secs_tab,
         gather_name_tab=gather_name_tab,
-        seg_tab=seg_tab,
         compute_busy=compute_busy,
         comm_busy=comm_busy,
-        gradient_sync=gradient_sync,
+        gradient_sync=_fold(bucket_secs_all),
         weight_gather=_fold(gather_secs_all),
-        num_buckets=num_buckets,
+        num_buckets=len(bucket_secs_all),
         nodes=len(routed.order),
-        segments_detected=segments_detected,
-        nodes_replayed=nodes_replayed,
     )
+    return tape, len(progs)
 
 
 def compile_columnar_tape(
@@ -298,8 +425,6 @@ def compile_columnar_tape(
     as-is (the ``sim/tape-columnar`` verifier rule re-checks cached
     tapes).
     """
-    from .iteration import _compile_tape, _groups_for
-
     cfg = config if config is not None else CostConfig()
     rec = recompute if (recompute is not None and recompute.enabled) else None
     cache_key = ("columnar", mesh, cfg) if rec is None else None
@@ -308,13 +433,10 @@ def compile_columnar_tape(
         if cached is not None:
             return cached
 
-    groups, dp = _groups_for(mesh, cfg, routed.tp_degree)
-    fwd_tape, bwd_tape, bucket_plan, stats, sig_ids = _compile_tape(
-        routed, mesh, cfg, rec, groups, dp
-    )
-    tape = _flatten(routed, fwd_tape, bwd_tape, bucket_plan, stats, sig_ids)
+    tape, signatures = _compile(routed, mesh, cfg, rec)
     if metrics.enabled():
         metrics.counter("sim.tapes_compiled", 1)
+        metrics.counter("sim.signatures_priced", signatures)
     problems = columnar_tape_invariants(routed, tape)
     if problems:
         raise ValueError(
@@ -335,10 +457,10 @@ def columnar_tape_invariants(routed: RoutedPlan, tape) -> List[str]:
     Returns human-readable problem strings (empty = consistent).  Pure
     column arithmetic — no replay — so the verifier can vet cached tapes
     cheaply: equal column lengths per timeline, channel codes within the
-    interning tables, one compute event per node per phase, the segment
-    table tiling ``[0, nodes)`` exactly, non-negative durations, gradient
-    sources pointing at backward compute events, and bucket tables that
-    start at 0 and stay strictly increasing within their axis stream.
+    interning tables, one compute event per node per phase, non-negative
+    durations, gradient sources pointing at backward compute events, and
+    bucket tables that start at 0 and stay strictly increasing within
+    their axis stream.
     """
     problems: List[str] = []
     if not isinstance(tape, ColumnarTape):
@@ -374,21 +496,6 @@ def columnar_tape_invariants(routed: RoutedPlan, tape) -> List[str]:
             )
     if len(set(tape.names)) != len(tape.names):
         problems.append("name table contains duplicates (broken interning)")
-
-    # segment table: consecutive tandem-repeat rows tiling [0, nodes)
-    expect = 0
-    seg_ok = True
-    for row in tape.seg_tab.tolist():
-        start, period, repeats = row
-        if start != expect or period < 1 or repeats < 1:
-            problems.append(
-                f"segment row {row} breaks closure (expected start {expect})"
-            )
-            seg_ok = False
-            break
-        expect = start + period * repeats
-    if seg_ok and expect != n:
-        problems.append(f"segment table covers {expect} nodes of {n}")
 
     bwd_len = len(tape.bwd_dur_col)
     for axis in GRAD_AXES:
@@ -485,8 +592,6 @@ def _pack_rows(columns: Sequence[np.ndarray], width: int, lead: Optional[np.ndar
 
 def _profiles_from_tapes(tapes: Sequence[ColumnarTape]):
     """Replay every tape with two batched prefix sums; one profile each."""
-    from .iteration import IterationProfile
-
     if metrics.enabled():
         metrics.counter("sim.tapes_replayed", len(tapes))
 
@@ -556,8 +661,6 @@ def _profiles_from_tapes(tapes: Sequence[ColumnarTape]):
         prof.gradient_sync_time = tape.gradient_sync
         prof.weight_gather_time = tape.weight_gather
         prof.num_gradient_buckets = tape.num_buckets
-        prof.segments_detected = tape.segments_detected
-        prof.nodes_replayed = tape.nodes_replayed
         prof.engine = _LazyEngine(
             tape, cum_fwd, cum_bwd, bucket_starts, gather_starts,
             comp_free, comm_free, iteration_time,
@@ -661,19 +764,8 @@ class _LazyEngine:
 
 
 # ---------------------------------------------------------------------------
-# public entry points
+# public entry point
 # ---------------------------------------------------------------------------
-
-def simulate_columnar(
-    routed: RoutedPlan,
-    mesh: Mesh,
-    config: Optional[CostConfig] = None,
-    recompute=None,
-):
-    """Columnar-tier equivalent of :func:`simulate_iteration` (one plan)."""
-    tape = compile_columnar_tape(routed, mesh, config, recompute)
-    return _profiles_from_tapes([tape])[0]
-
 
 def simulate_batch(
     routed_plans: Sequence[RoutedPlan],
@@ -686,8 +778,9 @@ def simulate_batch(
     Each plan's tape compiles (or comes from its cache) independently;
     the timelines then fold together as one zero-padded ``(plans,
     events)`` cumsum per phase.  Returns one :class:`IterationProfile`
-    per plan, in order, each bit-identical to what the reference and
-    single-plan columnar tiers produce for that plan.
+    per plan, in order, each bit-identical to what the reference event
+    loop produces for that plan; :func:`.iteration.simulate_iteration`'s
+    columnar tier is a batch of one.
     """
     if not routed_plans:
         return []

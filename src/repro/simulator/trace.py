@@ -70,8 +70,8 @@ def profile_to_chrome_trace(
 
     On top of the engine's channel timeline this adds what only the profile
     knows: forward/backward phase spans on their own thread, and the
-    step-level numbers (overlap efficiency, bucket count, replay
-    diagnostics) as counter args on the phase events — so a trace viewer
+    step-level numbers (overlap efficiency, bucket count, exposed
+    communication) as counter args on the phase events — so a trace viewer
     shows the anatomy of the step, not just its tasks.
     """
     if profile.engine is None:
@@ -95,8 +95,6 @@ def profile_to_chrome_trace(
         "overlap_efficiency": profile.overlap_efficiency,
         "num_gradient_buckets": profile.num_gradient_buckets,
         "exposed_comm_time": profile.exposed_comm_time,
-        "segments_detected": profile.segments_detected,
-        "nodes_replayed": profile.nodes_replayed,
     }
     for name, start, dur in spans:
         if dur <= 0:

@@ -83,7 +83,7 @@ ALL_RULES: Dict[str, str] = {
     "pack/coverage": "a gradient packed twice is synced twice (wrong update)",
     "pack/bucket-size": "fused buckets above the chunk cap stall the update pipeline",
     "pack/mismatch": "rewrite's buckets must equal a fresh packing of the plan's stream",
-    "sim/tape-columnar": "corrupt flat columns (lengths, ids, segment closure) would vectorize a wrong timeline",
+    "sim/tape-columnar": "corrupt flat columns (lengths, ids, gradient sources, bucket slices) would vectorize a wrong timeline",
     "rewrite/missing-collective": "a priced conversion edge without its comm op computes garbage",
     "rewrite/orphan-comm": "a comm op nothing priced means cost and graph disagree",
     "rewrite/duplicate-comm": "one edge must carry exactly the collective the plan claims",

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import Graph, OpType, TensorSpec, restore_auxiliary, trim_auxiliary
+from repro.graph import Graph, OpType, TensorSpec, attach_auxiliary, trim_auxiliary
 
 
 def graph_with_aux():
@@ -23,6 +23,13 @@ def graph_with_aux():
     g.add_operator("saver", OpType.SAVE, inputs=("dense/matmul",))
     g.add_operator("summary", OpType.SUMMARY, inputs=("loss",))
     return g
+
+
+def restored_copy(graph, record):
+    """Re-attach the trimmed auxiliary ops to a copy of *graph*."""
+    restored = graph.subgraph([op.name for op in graph], name=graph.name)
+    attach_auxiliary(restored, record)
+    return restored
 
 
 class TestTrim:
@@ -67,7 +74,7 @@ class TestRestore:
     def test_restore_brings_back_aux(self):
         g = graph_with_aux()
         trimmed, record = trim_auxiliary(g)
-        restored = restore_auxiliary(trimmed, record)
+        restored = restored_copy(trimmed, record)
         assert {op.name for op in restored} == {op.name for op in g}
         restored.validate()
 
@@ -76,7 +83,7 @@ class TestRestore:
         trimmed, record = trim_auxiliary(g)
         # simulate a rewrite that renamed the matmul
         sub = trimmed.subgraph(["x", "loss"])
-        restored = restore_auxiliary(sub, record)
+        restored = restored_copy(sub, record)
         restored.validate()
         assert "saver" in restored
         assert restored.op("saver").inputs == ()  # dangling edge dropped
@@ -110,5 +117,5 @@ def test_trim_never_removes_compute(g):
 @settings(max_examples=40)
 def test_restore_roundtrip_names(g):
     trimmed, record = trim_auxiliary(g)
-    restored = restore_auxiliary(trimmed, record)
+    restored = restored_copy(trimmed, record)
     assert {op.name for op in restored} == {op.name for op in g}

@@ -13,18 +13,20 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.analysis import evaluate_plan
 from repro.baselines import NAMED_PLANS
 from repro.cluster import paper_testbed
 from repro.core import CostConfig, DEFAULT_REGISTRY, derive_plan, route_plan
+from repro.core.evaluate import ENGINE_TIERS
 from repro.core.api import what_if_profiles
-from repro.passes import select_recompute_scopes
+from repro.passes import pipeline_with_tap, select_recompute_scopes
+from repro.service import SimulateRequest
 from repro.simulator import columnar
 from repro.simulator import (
-    SIM_ENGINE_TIERS,
     ColumnarTape,
     columnar_tape_invariants,
     compile_columnar_tape,
-    normalize_sim_engine,
     simulate_batch,
     simulate_iteration,
 )
@@ -36,7 +38,7 @@ from .test_replay import MESHES, SWEEP_MODELS, logs, nodes_for
 def both_tiers(routed, mesh, cfg=None, recompute=None):
     """Simulate cold on each tier (cache cleared between), reference first."""
     profs = []
-    for tier in SIM_ENGINE_TIERS:
+    for tier in ENGINE_TIERS:
         routed._sim_cache.clear()
         profs.append(simulate_iteration(routed, mesh, cfg, recompute, engine=tier))
     return profs
@@ -93,25 +95,53 @@ class TestTierParity:
 
 
 class TestEngineNormalization:
-    def test_default_is_columnar(self):
-        assert normalize_sim_engine(None) == "columnar"
+    """The simulator validates ``engine=`` with the search's vocabulary."""
 
-    def test_explicit_tiers_pass_through(self):
-        assert SIM_ENGINE_TIERS == ("reference", "columnar")
-        for tier in SIM_ENGINE_TIERS:
-            assert normalize_sim_engine(tier) == tier
+    @pytest.fixture()
+    def routed(self):
+        return megatron_routed("t5_large", paper_testbed(1, 8))[1]
 
-    def test_retired_spellings_rejected(self):
+    def test_default_is_columnar(self, routed):
+        mesh = paper_testbed(1, 8)
+        with obs.capture() as sink:
+            simulate_iteration(routed, mesh)
+        (span,) = [s for s in sink.spans if s.name == "simulate"]
+        assert span.attrs["engine"] == "columnar"
+
+    def test_explicit_tiers_pass_through(self, routed):
+        assert ENGINE_TIERS == ("reference", "columnar")
+        mesh = paper_testbed(1, 8)
+        for tier in ENGINE_TIERS:
+            with obs.capture() as sink:
+                simulate_iteration(routed, mesh, engine=tier)
+            (span,) = [s for s in sink.spans if s.name == "simulate"]
+            assert span.attrs["engine"] == tier
+
+    def test_retired_spellings_rejected(self, routed):
+        mesh = paper_testbed(1, 8)
         with pytest.raises(ValueError, match="'replay'"):
-            normalize_sim_engine("replay")
+            simulate_iteration(routed, mesh, engine="replay")
+        # the old ``None`` alias for the default tier is gone too
+        with pytest.raises(ValueError, match="None"):
+            simulate_iteration(routed, mesh, engine=None)
         with pytest.raises(TypeError):
-            simulate_iteration(None, paper_testbed(1, 8), reference=True)
+            simulate_iteration(None, mesh, reference=True)
 
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError, match="must be None or one of"):
-            normalize_sim_engine("warp-speed")
-        with pytest.raises(ValueError):
-            normalize_sim_engine("")
+    def test_unknown_tier_rejected(self, routed):
+        # every simulator-facing surface rejects an unknown tier up front
+        mesh = paper_testbed(1, 8)
+        ng = nodes_for("t5_large")
+        plan = NAMED_PLANS["megatron"](ng, mesh.gpus_per_node)
+        for bad in ("warp-speed", "", None):
+            for call in (
+                lambda: simulate_iteration(routed, mesh, engine=bad),
+                lambda: what_if_profiles(ng, [plan], mesh, engine=bad),
+                lambda: evaluate_plan(ng, plan, mesh, engine=bad),
+                lambda: pipeline_with_tap(ng, mesh, 2, engine=bad),
+                lambda: SimulateRequest(model="t5_large", engine=bad),
+            ):
+                with pytest.raises(ValueError, match="must be one of"):
+                    call()
 
 
 class TestSimulateBatch:
@@ -244,14 +274,6 @@ class TestTapeInvariants:
         bad = dataclasses.replace(tape, fwd_name_col=nm)
         assert any("name ids" in p
                    for p in columnar_tape_invariants(routed, bad))
-
-    def test_segment_table_must_tile(self, tape_env):
-        _, routed, _, _, tape = tape_env
-        seg = tape.seg_tab.copy()
-        seg[0, 2] += 1  # one extra repeat breaks closure
-        bad = dataclasses.replace(tape, seg_tab=seg)
-        problems = columnar_tape_invariants(routed, bad)
-        assert any("closure" in p or "covers" in p for p in problems)
 
     def test_gradient_source_out_of_range(self, tape_env):
         _, routed, _, _, tape = tape_env

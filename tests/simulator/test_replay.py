@@ -1,11 +1,11 @@
 """Property tests: the default simulator is bit-exact against the oracle.
 
-The segment-priced columnar simulator's whole contract is *zero*
-observable difference from the reference event loop — not "close", the
-same floats.
-These tests sweep plans (derived, named, and randomly assigned), models
-across the zoo, meshes and recompute policies, and compare both the
-profile and the complete engine task log.
+The columnar simulator prices each distinct node signature once; its
+whole contract is *zero* observable difference from the reference event
+loop — not "close", the same floats.  These tests sweep plans (derived,
+named, and randomly assigned), models across the zoo, meshes and
+recompute policies, and compare both the profile and the complete engine
+task log.
 """
 
 import random
@@ -24,8 +24,9 @@ from repro.core import (
 from repro.graph import trim_auxiliary
 from repro.models import MODEL_PRESETS, build_preset
 from repro.passes import select_recompute_scopes
-from repro.simulator import detect_segments, simulate_iteration
-from repro.simulator.iteration import _GROUP_CACHE, _PACK_CACHE
+from repro import obs
+from repro.simulator import simulate_iteration
+from repro.simulator.columnar import _GROUP_CACHE, _PACK_CACHE
 
 #: the zoo slice the sweep runs on — every architecture family, kept to
 #: sizes that coarsen to a few hundred nodes at most
@@ -74,12 +75,17 @@ class TestDerivedPlans:
         assert_bit_exact(search.routed, mesh)
 
     def test_replay_actually_replays(self):
+        # the layer stacks share signatures: one cold compile prices far
+        # fewer signatures than the plan has nodes
         ng = nodes_for("t5_large")
         mesh = paper_testbed(2, 8)
         search = derive_plan(ng, mesh)
-        prof = simulate_iteration(search.routed, mesh)
-        assert prof.segments_detected >= 1
-        assert prof.nodes_replayed > len(search.routed.order) // 2
+        search.routed._sim_cache.clear()
+        with obs.capture() as sink:
+            simulate_iteration(search.routed, mesh)
+        assert sink.counters["sim.tapes_compiled"] == 1
+        signatures = sink.counters["sim.signatures_priced"]
+        assert 1 <= signatures < len(search.routed.order) // 2
 
 
 class TestRecompute:
@@ -129,35 +135,3 @@ class TestRandomPlans:
     def test_cache_caps_hold(self):
         assert len(_GROUP_CACHE) <= 256
         assert len(_PACK_CACHE) <= 4096
-
-
-class TestDetectSegments:
-    def test_pure_repeat(self):
-        assert detect_segments([7, 7, 7, 7]) == [(0, 1, 4)]
-
-    def test_alternation(self):
-        assert detect_segments([1, 2, 1, 2, 1, 2]) == [(0, 2, 3)]
-
-    def test_two_runs(self):
-        assert detect_segments([1, 1, 2, 2]) == [(0, 1, 2), (2, 1, 2)]
-
-    def test_unique_prefix_and_suffix(self):
-        ids = [9, 1, 2, 1, 2, 1, 2, 8, 5]
-        segs = detect_segments(ids)
-        assert (1, 2, 3) in segs
-        # full cover, in order, no overlap
-        covered = []
-        for start, period, reps in segs:
-            covered.extend(range(start, start + period * reps))
-        assert covered == list(range(len(ids)))
-
-    def test_no_repeats(self):
-        assert detect_segments([1, 2, 3, 4]) == [(0, 4, 1)]
-
-    def test_empty(self):
-        assert detect_segments([]) == []
-
-    def test_max_period_respected(self):
-        ids = list(range(64)) * 2
-        assert detect_segments(ids, max_period=16) == [(0, 128, 1)]
-        assert detect_segments(ids, max_period=64) == [(0, 64, 2)]

@@ -60,7 +60,7 @@ class TestTraceExport:
         assert any(n.startswith("grad:") for n in names)
 
 
-def t5_profile(engine=None):
+def t5_profile(engine="columnar"):
     g = build_t5(TransformerConfig(encoder_layers=2, decoder_layers=2,
                                    hidden=64, ffn_dim=128, num_heads=4,
                                    vocab=128))
@@ -113,6 +113,13 @@ class TestProfileTrace:
         events = profile_to_chrome_trace(prof)
         engine_only = engine_to_chrome_trace(prof.engine)
         assert events[: len(engine_only)] == engine_only
+
+    def test_profile_trace_identical_across_tiers(self):
+        # phase spans and summary args included: nothing tier-specific
+        # leaks into the exported step anatomy
+        col = profile_to_chrome_trace(t5_profile("columnar"))
+        ref = profile_to_chrome_trace(t5_profile("reference"))
+        assert col == ref
 
     def test_requires_engine(self):
         import pytest
