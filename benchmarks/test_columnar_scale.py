@@ -47,12 +47,12 @@ REPEATS = 3
 MIN_COLUMNAR_SPEEDUP = {"resnet_300k": 4.0, "moe_deep": 15.0}
 
 #: Deterministic work of one derivation, pinned exactly: (coarsened
-#: nodes, candidates examined, candidates the bound skipped, rows the
-#: columnar evaluator computed).
+#: nodes, candidates examined, valid candidates the bound kept from
+#: pricing, rows the columnar evaluator computed).
 COUNTERS = {
-    "t5_96l": (2792, 2927, 2591, 2927),
-    "resnet_300k": (74, 289, 72, 289),
-    "moe_deep": (629, 983, 381, 983),
+    "t5_96l": (2792, 2927, 1928, 2927),
+    "resnet_300k": (74, 289, 56, 289),
+    "moe_deep": (629, 983, 313, 983),
 }
 
 #: Peak tracked memory (MB) of one warm columnar derivation.
@@ -173,6 +173,9 @@ def test_columnar_scale_speedup(run_once):
         assert col.plan.tp_degree == ref.plan.tp_degree, r["model"]
         assert col.cost == ref.cost, r["model"]
         assert col.candidates_examined == ref.candidates_examined, r["model"]
+        # the bound only skips pricing valid candidates
+        assert (col.valid_plans + col.bound_skipped
+                == ref.valid_plans), r["model"]
         # batched pricing clears the floor over the per-candidate oracle
         speedup = r["wall"]["reference"] / r["wall"]["columnar"]
         assert speedup >= MIN_COLUMNAR_SPEEDUP[r["model"]], (

@@ -51,9 +51,10 @@ REPEATS = 3
 MIN_SPEEDUP = {"t5-24L": 25.0, "resnet-100K": 3.5}
 
 #: Deterministic work of one derivation, pinned exactly: (candidates
-#: examined, candidates the bound skipped, rows the columnar evaluator
-#: computed).  A row priced twice shows in the last figure.
-COUNTERS = {"t5-24L": (2927, 2591, 2927), "resnet-100K": (289, 72, 289)}
+#: examined, valid candidates the bound kept from pricing, rows the
+#: columnar evaluator computed).  A row priced twice shows in the last
+#: figure.
+COUNTERS = {"t5-24L": (2927, 1928, 2927), "resnet-100K": (289, 56, 289)}
 
 #: Peak tracked memory (MB) of one warm columnar derivation.
 PEAK_MB = {"t5-24L": 1.965, "resnet-100K": 0.058}
@@ -139,6 +140,9 @@ def test_search_hotpath_tier_speedups(run_once):
         assert res.plan.tp_degree == ref.plan.tp_degree, r["model"]
         assert res.cost == ref.cost, r["model"]
         assert res.candidates_examined == ref.candidates_examined, r["model"]
+        # the bound only skips pricing valid candidates
+        assert (res.valid_plans + res.bound_skipped
+                == ref.valid_plans), r["model"]
         # the work is deterministic: the bound skips exactly as many
         assert (res.candidates_examined, res.bound_skipped,
                 res.rows_priced) == COUNTERS[r["model"]], r["model"]

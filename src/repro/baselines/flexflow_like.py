@@ -40,10 +40,6 @@ class MCMCResult:
     trajectory: List[float] = field(default_factory=list)
     search_seconds: float = 0.0
 
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accepted / self.trials if self.trials else 0.0
-
 
 def flexflow_like_search(
     node_graph: NodeGraph,

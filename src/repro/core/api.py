@@ -106,48 +106,33 @@ class ParallelizedModel:
 
 
 def plan_request(
-    model: Graph | NodeGraph,
+    node_graph: NodeGraph,
     mesh: Mesh | Sequence[int],
     cost_config: Optional[CostConfig] = None,
     *,
-    batch_tokens: int = 16 * 512,
-    packing: Optional[PackingConfig] = None,
     min_duplicate: int = 2,
     tp_degrees: Optional[Sequence[int]] = None,
     use_pruning: bool = True,
-    max_plans_per_block: int = 50_000,
     engine="columnar",
     zero_stage: int = 0,
     registry: PatternRegistry = DEFAULT_REGISTRY,
 ) -> SearchResult:
-    """Answer one planning request: normalise inputs, run the search.
+    """Answer one planning request over a coarsened graph.
 
     The single entry point both :func:`auto_parallel` and the planner
     service (:mod:`repro.service`) call, so a request is handled
     identically whether it arrives from the library API, the CLI, or a
-    service worker process.  *model* may be an op-level :class:`Graph`
-    (trimmed and coarsened here) or an already-coarsened
-    :class:`NodeGraph`; *mesh* may be a shape list or a :class:`Mesh`.
-    Returns the :class:`SearchResult` — the winner's :class:`RoutedPlan`
-    materialises lazily on ``.routed`` access.
+    service worker process.  *mesh* may be a shape list or a
+    :class:`Mesh`.  Returns the :class:`SearchResult` — the winner's
+    :class:`RoutedPlan` materialises lazily on ``.routed`` access.
     """
-    mesh = split(mesh)
-    cost_config = cost_config or CostConfig(
-        batch_tokens=batch_tokens, packing=packing or PackingConfig()
-    )
-    if isinstance(model, NodeGraph):
-        node_graph = model
-    else:
-        trimmed, _ = trim_auxiliary(model)
-        node_graph = coarsen(trimmed)
     return derive_plan(
         node_graph,
-        mesh,
+        split(mesh),
         registry=registry,
         cost_config=cost_config,
         min_duplicate=min_duplicate,
         tp_degrees=tp_degrees,
-        max_plans_per_block=max_plans_per_block,
         use_pruning=use_pruning,
         engine=engine,
         zero_stage=zero_stage,

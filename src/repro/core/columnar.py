@@ -24,19 +24,20 @@ Array layout (one compile per ``(block, registry)``, cached on the block):
   with per-producer segment permutations, so layout transitions, the
   per-``(producer, required-layout)`` conversion dedup and the edge
   collective pricing are all table gathers + segmented cumulative sums.
-* **Prefix slots** — each node owns a fixed span of forward/backward cost
+* **Cost slots** — each node owns a fixed span of forward/backward cost
   slots (its in-edges, then its pattern-comm budget).  A row-wise
   ``cumsum`` over the slot matrix replays the exact left-fold
   float-accumulation order of :meth:`CostModel.estimate` (padding slots
-  add ``+0.0``, which is exact), so per-node partial costs — the
-  admissible branch-and-bound values — are bit-exact prefix sums.
+  add ``+0.0``, which is exact), so its last column — each candidate's
+  communication total — is bit-exact.
 
-Bound interaction: partial-cost rows are non-decreasing (every term is a
-non-negative IEEE float), so the "first node whose partial strictly
-exceeds the incumbent" is one ``searchsorted`` per candidate.
-Classification (invalid-before-bound, resume hints, incumbent updates)
-stays sequential per candidate to preserve exact first-wins semantics;
-everything per-*node* is vectorized.
+Bound interaction: every cost term is a non-negative IEEE float, so the
+routed totals (``FE + BE``, plus compute under ``objective="time"``) are
+an admissible lower bound on the candidate's final cost.  Each row is
+classified by validity first, then a valid row whose bound strictly
+exceeds the incumbent is skipped before its gradient-stream pricing;
+incumbent updates stay sequential in enumeration order, preserving exact
+first-wins semantics.
 
 Compiled tables are cached by *value* — ``(tp, mesh, cost config)`` are
 all frozen dataclasses — so repeat derives over the same graph skip the
@@ -44,7 +45,8 @@ compile entirely and pay only the sweep.
 
 Determinism is the contract: plans, costs and candidate counts are
 bit-identical to the ``engine="reference"`` oracle across every block and
-TP degree.
+TP degree, and the candidates priced plus those the bound skipped are
+exactly the oracle's valid ones.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from .cost import (
     TERM_GRAD_ALL,
 )
 from .evaluate import (
-    EVAL_BOUNDED,
     EVAL_INVALID,
     EVAL_VALID,
     BlockSearchOutcome,
@@ -330,10 +331,6 @@ class _Skeleton:
         bi = self.widx[self.exb_j] if len(self.exb_j) else self.exb_j
         self.exf_slot = fwd_ptr[fi] + indeg_arr[fi] + self.exf_k + 1
         self.exb_slot = bwd_ptr[bi] + indeg_arr[bi] + self.exb_k + 1
-        #: prefix columns: cumsum column ``fwd_ptr[i+1]`` is the exact
-        #: accumulator value after node ``i``
-        self.fcols = fwd_ptr[1:].copy()
-        self.bcols = bwd_ptr[1:].copy()
 
         # --- follow-layout propagation levels ---------------------------
         # Weight nodes and zero-input follow nodes are depth 0; a follow
@@ -606,15 +603,23 @@ def _degree(
     return deg
 
 
+def _fold(terms: np.ndarray) -> np.ndarray:
+    """Row-wise left-fold sums: the last column of a running ``cumsum``,
+    so each row accumulates in exactly the order a sequential loop would
+    (``np.sum`` is pairwise and would round differently)."""
+    if terms.shape[1] == 0:
+        return np.zeros(terms.shape[0], dtype=np.float64)
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
 class _Arrays:
-    """Per-chunk evaluation arrays (one row per candidate)."""
+    """Per-chunk evaluation arrays (one entry per candidate row)."""
 
-    __slots__ = ("p", "ip", "lp", "fc", "bc", "FE", "BE", "optmat")
+    __slots__ = ("valid", "bound", "fc", "bc", "FE", "BE", "optmat")
 
-    def __init__(self, p, ip, lp, fc, bc, FE, BE, optmat) -> None:
-        self.p = p
-        self.ip = ip
-        self.lp = lp
+    def __init__(self, valid, bound, fc, bc, FE, BE, optmat) -> None:
+        self.valid = valid
+        self.bound = bound
         self.fc = fc
         self.bc = bc
         self.FE = FE
@@ -623,15 +628,13 @@ class _Arrays:
 
 
 class ColumnarEvaluator:
-    """Array-backed incremental router + pricer for one ``(block, tp)``.
+    """Array-backed router + pricer for one ``(block, tp)``.
 
-    :meth:`price` returns ``(status, cost)`` for one assignment, resuming
-    from the first node that differs from the previous call's and
-    abandoning the walk once its partial cost strictly exceeds
-    ``incumbent``; :meth:`price_batch` prices many single-move variants of
-    one base assignment in a single compute.  Evaluation is a batch of
-    table gathers and row-wise cumulative sums instead of a per-node
-    Python walk, and every finite cost is bit-identical to
+    :meth:`price` returns ``(status, cost)`` for one assignment;
+    :meth:`price_batch` prices many single-move variants of one base
+    assignment in a single compute.  Evaluation is a batch of table
+    gathers and row-wise cumulative sums instead of a per-node Python
+    walk, and every finite cost is bit-identical to
     ``plan_cost(route_plan(...))`` of the same assignment.
     """
 
@@ -652,15 +655,10 @@ class ColumnarEvaluator:
         self._deg = _degree(
             self._sk, registry, tp_degree, cost_model, zero_stage
         )
-        self.order = self._sk.order
-        self.pos = self._sk.pos
         self.wpos = self._sk.wpos
         cfg = cost_model.config
         self._factor = cfg.backward_flops_factor
         self._bound_time = cfg.objective == "time"
-        self._committed = 0
-        self._last_assignment: Optional[Dict[str, str]] = None
-        self._vec: Optional[np.ndarray] = None
         #: candidate rows :meth:`_compute` has evaluated (a work counter)
         self.rows_priced = 0
 
@@ -698,8 +696,8 @@ class ColumnarEvaluator:
         tfm = np.where((out == 0) | (out == 2), d.wl_ts, d.wl_tf)
         if sk.nw:
             tfm[:, sk.widx] = d.TF[optmat]
-        fc = np.cumsum(tfm, axis=1)
-        bc = np.cumsum(self._factor * tfm, axis=1)
+        fc = _fold(tfm)
+        bc = _fold(self._factor * tfm)
 
         # edge transitions -> collective codes -> dedup claims -> prices
         FW = np.zeros((rows, sk.SF + 1), dtype=np.float64)
@@ -735,68 +733,27 @@ class ColumnarEvaluator:
             FW[:, sk.exf_slot] = d.FX[optmat[:, sk.exf_j], sk.exf_k]
         if len(sk.exb_slot):
             BWm[:, sk.exb_slot] = d.BX[optmat[:, sk.exb_j], sk.exb_k]
-        FE = np.cumsum(FW, axis=1)[:, sk.fcols]
-        BE = np.cumsum(BWm, axis=1)[:, sk.bcols]
+        FE = _fold(FW)
+        BE = _fold(BWm)
 
-        # the per-node partial cost: non-decreasing, bit-exact
-        p = FE + BE
+        # the admissible lower bound on the final cost, bit-exact
+        bound = FE + BE
         if self._bound_time:
-            p = (fc + bc) + p
+            bound = (fc + bc) + bound
 
-        # first invalid weight node / partial leaf flags
+        # routing rejects an invalid weight column or a partial leaf
+        valid = np.ones(rows, dtype=bool)
         if sk.nw:
-            invw = ~d.VALIDC[optmat]
-            anyinv = invw.any(axis=1)
-            ip = np.where(anyinv, sk.widx[invw.argmax(axis=1)], n)
-        else:
-            ip = np.full(rows, n, dtype=np.int64)
+            valid &= d.VALIDC[optmat].all(axis=1)
         if len(sk.leaf_idx):
-            lp = (out[:, sk.leaf_idx] == 3).any(axis=1)
-        else:
-            lp = np.zeros(rows, dtype=bool)
-        return _Arrays(p, ip, lp, fc, bc, FE, BE, optmat)
-
-    def _classify(
-        self,
-        arrays: _Arrays,
-        t: int,
-        hint: Optional[int],
-        incumbent: float,
-        bp: Optional[int] = None,
-    ) -> Tuple[int, Optional[float]]:
-        """Classify row ``t`` as a sequential walk would end.
-
-        Invalid-before-bound at the same node, the resume-hint clamp of
-        the bound (nodes before ``start`` are never re-checked against a
-        tightened incumbent) and the committed-prefix bookkeeping all
-        reproduce a per-node walk.  ``bp`` lets the caller supply a
-        precomputed bound position (the count of partials ``<=
-        incumbent``, equal to the right-bisect the scalar path runs).
-        """
-        n = self._sk.n
-        start = 0 if hint is None else min(hint, self._committed)
-        if bp is None:
-            bp = int(np.searchsorted(arrays.p[t], incumbent, side="right"))
-        if bp < start:
-            bp = start
-        ipt = int(arrays.ip[t])
-        if ipt < n and ipt <= bp:
-            self._committed = ipt
-            return EVAL_INVALID, None
-        if bp < n:
-            self._committed = bp + 1
-            return EVAL_BOUNDED, None
-        self._committed = n
-        if arrays.lp[t]:
-            return EVAL_INVALID, None
-        return EVAL_VALID, self._finalize(arrays, t)
+            valid &= (out[:, sk.leaf_idx] != 3).all(axis=1)
+        return _Arrays(valid, bound, fc, bc, FE, BE, optmat)
 
     def _finalize(self, arrays: _Arrays, t: int) -> float:
         """The plan's scalar cost — the same float
         :meth:`CostModel.plan_cost` computes for a fresh routing."""
         d = self._deg
         cfg = self.cost_model.config
-        n = self._sk.n
         if self._sk.nw:
             optrow = arrays.optmat[t]
             gbr = d.GB[optrow]
@@ -839,13 +796,10 @@ class ColumnarEvaluator:
             cached = (grad_time, gather_time)
             d.grad_time_cache[gkey] = cached
         grad_time, gather_time = cached
-        if n:
-            backward_compute = float(arrays.bc[t, n - 1])
-            fwd_comm = float(arrays.FE[t, n - 1])
-            bwd_comm = float(arrays.BE[t, n - 1])
-            forward_compute = float(arrays.fc[t, n - 1])
-        else:
-            backward_compute = fwd_comm = bwd_comm = forward_compute = 0.0
+        backward_compute = float(arrays.bc[t])
+        fwd_comm = float(arrays.FE[t])
+        bwd_comm = float(arrays.BE[t])
+        forward_compute = float(arrays.fc[t])
         overlapped = (
             min(grad_time, backward_compute) if cfg.overlap_gradients else 0.0
         )
@@ -855,56 +809,27 @@ class ColumnarEvaluator:
             return comm
         return (forward_compute + backward_compute) + comm
 
+    def _price_rows(
+        self, candidates: np.ndarray
+    ) -> List[Tuple[int, Optional[float]]]:
+        arrays = self._compute(candidates)
+        return [
+            (EVAL_VALID, self._finalize(arrays, t)) if ok
+            else (EVAL_INVALID, None)
+            for t, ok in enumerate(arrays.valid.tolist())
+        ]
+
     # ------------------------------------------------------------------
-    def price(
-        self, assignment: Dict[str, str], incumbent: float = float("inf")
-    ) -> Tuple[int, Optional[float]]:
-        """Single-candidate evaluation, resuming from the first node whose
-        pattern differs from the previous call's assignment.  The
-        candidate vector is maintained incrementally: only the diffed
-        names are re-mapped to columns."""
-        last = self._last_assignment
-        if last is None or self._vec is None:
-            hint: Optional[int] = None
-            vec = self._vec_for(assignment)
-        else:
-            diff = [
-                nm
-                for nm in last
-                if last[nm] != assignment.get(nm, "replicate")
-            ]
-            diff += [
-                nm
-                for nm in assignment
-                if nm not in last and assignment[nm] != "replicate"
-            ]
-            hint = min(
-                (self.pos[nm] for nm in diff if nm in self.pos),
-                default=len(self.order),
-            )
-            vec = self._vec
-            for nm in diff:
-                j = self.wpos.get(nm)
-                if j is not None:
-                    vec[j] = self._deg.colmap[j].get(
-                        assignment.get(nm, "replicate"), 0
-                    )
-        self._last_assignment = dict(assignment)
-        self._vec = vec
-        arrays = self._compute(vec[np.newaxis, :])
-        return self._classify(arrays, 0, hint, incumbent)
+    def price(self, assignment: Dict[str, str]) -> Tuple[int, Optional[float]]:
+        """Route and price one assignment; weight nodes it does not name
+        stay replicated."""
+        return self._price_rows(self._vec_for(assignment)[np.newaxis, :])[0]
 
     def price_batch(
         self, base: Dict[str, str], variants: List[Dict[str, str]]
     ) -> List[Tuple[int, Optional[float]]]:
-        """Price ``{**base, **v}`` for every variant in one batched compute.
-
-        Equivalent to the corresponding sequence of :meth:`price` calls:
-        with no incumbent the bound never fires and the resume hint only
-        clamps bound re-checks, so each row's status and cost are
-        independent of evaluation order.  Rows still classify
-        sequentially (committed-prefix bookkeeping).
-        """
+        """Price ``{**base, **v}`` for every variant in one batched compute
+        — the same statuses and costs as one :meth:`price` call each."""
         if not variants:
             return []
         base_vec = self._vec_for(base)
@@ -914,15 +839,7 @@ class ColumnarEvaluator:
                 j = self.wpos.get(nm)
                 if j is not None:
                     rows[t, j] = self._deg.colmap[j].get(pat, 0)
-        arrays = self._compute(rows)
-        # no incumbent => the bound position is always past the last node
-        results = [
-            self._classify(arrays, t, None, float("inf"), bp=self._sk.n)
-            for t in range(len(variants))
-        ]
-        self._last_assignment = {**base, **variants[-1]}
-        self._vec = rows[len(variants) - 1].copy()
-        return results
+        return self._price_rows(rows)
 
 
 def columnar_block_search(
@@ -931,7 +848,6 @@ def columnar_block_search(
     tp_degree: int,
     cost_model: CostModel,
     max_plans: int,
-    use_bound: bool,
     groups: List[Tuple[List[str], List[str]]],
     zero_stage: int = 0,
 ) -> BlockSearchOutcome:
@@ -940,19 +856,17 @@ def columnar_block_search(
     The sweep consumes :func:`iter_gray_digits` directly — candidates are
     integer rows in a preallocated buffer, and the winning assignment
     dict is only materialised when a row actually improves the incumbent.
-    Each flush computes every per-node quantity for the whole chunk at
-    once and then classifies rows *sequentially in enumeration order*, so
-    incumbent updates, bound decisions and first-wins selection are
-    identical to a per-candidate sweep.
+    Each flush computes validity and the cost lower bound for the whole
+    chunk at once, then walks its valid rows *in enumeration order*: a
+    row whose bound strictly exceeds the incumbent cannot win under
+    strict ``<`` and is counted in ``bound_skipped`` without its
+    gradient-stream pricing; every other row is priced, so incumbent
+    updates and first-wins selection are identical to the oracle's sweep.
     """
     out = BlockSearchOutcome()
     ev = ColumnarEvaluator(block, registry, tp_degree, cost_model, zero_stage)
     d = ev._deg
     sk = ev._sk
-    pos = ev.pos
-    group_start = [
-        min(pos[name] for name in names if name in pos) for names, _ in groups
-    ]
     group_js = [
         np.array(
             [ev.wpos[name] for name in names if name in ev.wpos],
@@ -975,30 +889,22 @@ def columnar_block_search(
     chunk = max(16, min(1024, 2_000_000 // width))
     vec = d.replicate_cols.copy()
     optbuf = np.empty((chunk, sk.nw), dtype=np.int64)
-    meta: List[Tuple[Optional[Tuple[int, ...]], Optional[int]]] = []
+    meta: List[Optional[Tuple[int, ...]]] = []
 
     def flush() -> None:
         if not meta:
             return
-        rows = len(meta)
-        arrays = ev._compute(optbuf[:rows])
-        # Bound positions for the whole chunk against the incumbent at
-        # flush time; re-vectorized for the tail whenever a valid row
-        # tightens the incumbent (rare — one recompute per improvement).
-        incumbent = out.best_cost if use_bound else float("inf")
-        bp_arr = (arrays.p <= incumbent).sum(axis=1)
-        for t, (digits, hint) in enumerate(meta):
-            status, cost = ev._classify(
-                arrays, t, hint, incumbent, bp=int(bp_arr[t])
-            )
-            if status == EVAL_BOUNDED:
+        arrays = ev._compute(optbuf[: len(meta)])
+        live = np.flatnonzero(arrays.valid)
+        for t, bound in zip(live.tolist(), arrays.bound[live].tolist()):
+            if bound > out.best_cost:
                 out.bound_skipped += 1
                 continue
-            if status == EVAL_INVALID:
-                continue
             out.valid += 1
+            cost = ev._finalize(arrays, t)
             if cost < out.best_cost:
                 out.best_cost = cost
+                digits = meta[t]
                 if digits is None:
                     out.best_assignment = {}
                 else:
@@ -1007,12 +913,6 @@ def columnar_block_search(
                         for g, (names, options) in enumerate(groups)
                         for name in names
                     }
-                if use_bound:
-                    incumbent = out.best_cost
-                    if t + 1 < rows:
-                        bp_arr[t + 1 :] = (
-                            arrays.p[t + 1 :] <= incumbent
-                        ).sum(axis=1)
         meta.clear()
 
     for digits, changed in iter_gray_digits(groups, max_plans):
@@ -1020,19 +920,15 @@ def columnar_block_search(
         if digits is None:
             # the guaranteed all-replicate fallback: empty assignment
             vec = d.replicate_cols.copy()
-            hint = None
         elif changed is None:
             vec = d.replicate_cols.copy()
             for g in range(len(groups)):
                 if len(group_js[g]):
                     vec[group_js[g]] = group_cols[g][digits[g]]
-            hint = None
-        else:
-            if len(group_js[changed]):
-                vec[group_js[changed]] = group_cols[changed][digits[changed]]
-            hint = group_start[changed]
+        elif len(group_js[changed]):
+            vec[group_js[changed]] = group_cols[changed][digits[changed]]
         optbuf[len(meta)] = vec
-        meta.append((digits, hint))
+        meta.append(digits)
         if len(meta) == chunk:
             flush()
     flush()

@@ -8,10 +8,10 @@ first-wins comparison.  Two tiers evaluate the sweep, selected by
 * ``"columnar"`` (the default, :mod:`repro.core.columnar`) compiles the
   block once into struct-of-arrays tables and routes + prices whole
   chunks of candidates as batched numpy operations, with an admissible
-  branch-and-bound: communication terms are non-negative and IEEE
-  addition of non-negative values is monotone, so a candidate whose
-  running partial cost strictly exceeds the incumbent cannot win and is
-  abandoned.
+  bound: cost terms are non-negative and IEEE addition of non-negative
+  values is monotone, so a valid candidate whose routed totals already
+  strictly exceed the incumbent cannot win and skips its gradient-stream
+  pricing.
 * ``"reference"`` is the oracle: a fresh :func:`route_plan` and
   :meth:`CostModel.plan_cost` per candidate.
 
@@ -37,7 +37,6 @@ from .routing import RoutingError, route_plan
 __all__ = [
     "EVAL_VALID",
     "EVAL_INVALID",
-    "EVAL_BOUNDED",
     "BlockSearchOutcome",
     "decision_groups",
     "iter_gray_digits",
@@ -60,7 +59,6 @@ def normalize_engine(engine) -> str:
 #: Outcome of one columnar candidate evaluation.
 EVAL_VALID = 0
 EVAL_INVALID = 1
-EVAL_BOUNDED = 2
 
 
 def decision_groups(
@@ -191,7 +189,8 @@ class BlockSearchOutcome:
     valid: int = 0
     best_assignment: Dict[str, str] = field(default_factory=dict)
     best_cost: float = float("inf")
-    #: candidates abandoned mid-walk by the admissible bound
+    #: valid candidates the admissible bound kept from pricing (0 on the
+    #: reference tier): ``valid + bound_skipped`` is the oracle's ``valid``
     bound_skipped: int = 0
     #: candidate rows the columnar evaluator computed (0 on the reference
     #: tier); equals ``candidates`` unless a row is priced twice
@@ -205,7 +204,6 @@ def search_block_candidates(
     cost_model: CostModel,
     max_plans: int = 50_000,
     engine="columnar",
-    use_bound: bool = True,
     zero_stage: int = 0,
 ) -> BlockSearchOutcome:
     """Sweep every candidate assignment of *block* and keep the cheapest.
@@ -216,8 +214,6 @@ def search_block_candidates(
     both over the *same* Gray-ordered enumeration, so they examine the
     identical candidate sequence and, by strict first-wins comparison,
     select the identical assignment at the identical cost.
-    ``use_bound=False`` disables the columnar branch-and-bound (every
-    valid candidate is then fully priced and counted).
     """
     tier = normalize_engine(engine)
     with trace.span(
@@ -225,7 +221,7 @@ def search_block_candidates(
     ):
         out = _search_block_candidates(
             block, registry, tp_degree, cost_model, max_plans, tier,
-            use_bound, zero_stage,
+            zero_stage,
         )
     if metrics.enabled():
         # Published once per sweep — never per candidate — so the inner
@@ -245,7 +241,6 @@ def _search_block_candidates(
     cost_model: CostModel,
     max_plans: int,
     tier: str,
-    use_bound: bool,
     zero_stage: int,
 ) -> BlockSearchOutcome:
     out = BlockSearchOutcome()
@@ -260,8 +255,8 @@ def _search_block_candidates(
         from .columnar import columnar_block_search
 
         return columnar_block_search(
-            block, registry, tp_degree, cost_model, max_plans, use_bound,
-            groups, zero_stage,
+            block, registry, tp_degree, cost_model, max_plans, groups,
+            zero_stage,
         )
     for assignment, _changed in iter_gray_plans(groups, max_plans):
         out.candidates += 1

@@ -79,12 +79,6 @@ class GraphNode:
             self._kind = best.op_type
         return self._kind
 
-    def op_type_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for op in self.ops:
-            counts[op.op_type] = counts.get(op.op_type, 0) + 1
-        return counts
-
     def signature(self) -> Tuple:
         """Name-free structural identity for similarity comparison."""
         if self._signature is None:

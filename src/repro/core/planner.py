@@ -13,7 +13,7 @@
    uncovered to replication, and route + price the assembled full plan.
 
 Step 3 runs on the columnar core (:mod:`repro.core.columnar`): Gray-code
-enumeration, batched array routing + pricing and branch-and-bound —
+enumeration, batched array routing + pricing and an admissible bound —
 selecting the bit-identical plan the reference per-candidate loop selects
 (``engine="reference"`` runs that loop as the oracle).
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster import Mesh
 from ..obs import metrics, trace
@@ -34,7 +34,6 @@ from .columnar import ColumnarEvaluator
 from .evaluate import (
     EVAL_VALID,
     decision_groups,
-    iter_gray_plans,
     normalize_engine,
     search_block_candidates,
 )
@@ -44,7 +43,7 @@ from .plan import RoutedPlan, ShardingPlan
 from .pruning import PruneResult, SubgraphFamily, prune_graph
 from .routing import RoutingError, route_plan
 
-__all__ = ["FamilySearch", "SearchResult", "enumerate_block_plans", "derive_plan"]
+__all__ = ["FamilySearch", "SearchResult", "derive_plan"]
 
 
 @dataclass
@@ -57,7 +56,7 @@ class FamilySearch:
     valid: int = 0
     best_assignment: Dict[str, str] = field(default_factory=dict)
     best_cost: float = float("inf")
-    #: candidates abandoned by the columnar branch-and-bound
+    #: valid candidates the columnar bound kept from pricing
     bound_skipped: int = 0
     #: candidate rows the columnar evaluator computed (0 on the reference
     #: tier)
@@ -75,7 +74,9 @@ class SearchResult:
     candidates_examined: int = 0
     valid_plans: int = 0
     search_seconds: float = 0.0
-    #: candidates abandoned mid-walk by the admissible bound
+    #: valid candidates the admissible bound kept from pricing (0 on the
+    #: reference tier): ``valid_plans + bound_skipped`` is the oracle's
+    #: ``valid_plans``
     bound_skipped: int = 0
     #: candidate rows the columnar evaluator computed over all families
     #: and the uncovered descent (0 on the reference tier); the final
@@ -100,24 +101,6 @@ class SearchResult:
     @property
     def tp_degree(self) -> int:
         return self.plan.tp_degree
-
-
-def enumerate_block_plans(
-    block: NodeGraph,
-    registry: PatternRegistry,
-    tp_degree: int,
-    max_plans: int = 50_000,
-) -> Iterator[ShardingPlan]:
-    """All pattern assignments over a block's decision groups.
-
-    Candidates come out in Gray order (consecutive plans differ in one
-    decision group); the first is all-replicate, and an all-replicate
-    fallback is guaranteed even when the ``max_plans`` guard truncates the
-    enumeration mid-product.
-    """
-    groups = decision_groups(block, registry, tp_degree)
-    for assignment, _changed in iter_gray_plans(groups, max_plans):
-        yield ShardingPlan.of(assignment, tp_degree)
 
 
 def _broadcast_assignment(
@@ -162,7 +145,6 @@ def derive_plan(
     max_plans_per_block: int = 50_000,
     use_pruning: bool = True,
     engine="columnar",
-    use_bound: bool = True,
     zero_stage: int = 0,
 ) -> SearchResult:
     """Run the full TAP derivation (Algorithm 2) and return the best plan.
@@ -171,10 +153,9 @@ def derive_plan(
     ablation that demonstrates why Algorithm 1 matters.  ``engine``
     selects the candidate-evaluation tier: ``"columnar"`` (the default)
     is the array-batched core, ``"reference"`` the route-everything
-    oracle loop; ``use_bound=False`` keeps the columnar tier but disables
-    branch-and-bound.  The selected plan and cost are identical for every
-    setting of these knobs, because the reduction runs in a fixed order
-    with strict first-wins tie-breaking.
+    oracle loop.  The selected plan and cost are identical on both tiers,
+    because the reduction runs in a fixed order with strict first-wins
+    tie-breaking.
 
     ``zero_stage`` stamps the optimizer-state sharding axis onto every
     candidate (and the winner): 0 is today's replicated update, 1/2 the
@@ -242,9 +223,8 @@ def derive_plan(
         current: Dict[str, str] = {}
 
         if evaluator is not None:
-            # Full-graph evaluator: each trial changes one decision group,
-            # so pricing resumes from the first changed node against the
-            # compiled column tables.
+            # Full-graph evaluator: each trial is one row priced against
+            # the compiled column tables.
             def full_cost(extra: Dict[str, str]) -> Optional[float]:
                 status, cost = evaluator.price({**assignment, **extra})
                 if status != EVAL_VALID:
@@ -271,9 +251,8 @@ def derive_plan(
             best_option, best_cost_here = "replicate", record.best_cost
             tried = [option for option in options if option != "replicate"]
             if evaluator is not None and tried:
-                # One batched compute per group; each trial prices with no
-                # incumbent, so the batch replays the sequential trials
-                # exactly (same statuses and costs).
+                # One batched compute per group: the same statuses and
+                # costs as pricing the trials one at a time.
                 base = {**assignment, **current}
                 outcomes_here = evaluator.price_batch(
                     base, [{n: option for n in names} for option in tried]
@@ -326,7 +305,6 @@ def derive_plan(
                 cost_model,
                 max_plans=max_plans_per_block,
                 engine=tier,
-                use_bound=use_bound,
                 zero_stage=zero_stage,
             )
             records.append(

@@ -5,10 +5,10 @@ The paper enumerates every pattern assignment inside the pruned block
 transformer layer).  For blocks with many decision groups the exhaustive
 product still explodes, so this module provides drop-in strategies with
 different cost/quality trade-offs, all operating on the same decision
-groups as :func:`repro.core.planner.enumerate_block_plans`:
+groups (:func:`repro.core.evaluate.decision_groups`):
 
 ``exhaustive``
-    the paper's behaviour (delegates to the planner's enumeration);
+    the paper's behaviour: every assignment in the groups' product;
 ``greedy``
     coordinate descent: decide one group at a time, best-first by weight
     size — O(groups × options) routing calls;

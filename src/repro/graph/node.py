@@ -183,9 +183,6 @@ class Operator:
     def basename(self) -> str:
         return self.name.rsplit("/", 1)[-1]
 
-    def scope_parts(self) -> Tuple[str, ...]:
-        return tuple(self.name.split("/")[:-1])
-
     @property
     def depth(self) -> int:
         """Scope nesting depth (number of ``/`` in the name)."""

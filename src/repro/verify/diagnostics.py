@@ -98,13 +98,6 @@ class VerificationReport:
         """True when no *error*-severity diagnostic was recorded."""
         return not self.errors
 
-    def rules_fired(self) -> List[str]:
-        seen: List[str] = []
-        for d in self.diagnostics:
-            if d.rule not in seen:
-                seen.append(d.rule)
-        return seen
-
     def has_rule(self, rule: str) -> bool:
         return any(d.rule == rule for d in self.diagnostics)
 

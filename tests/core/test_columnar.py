@@ -10,7 +10,9 @@ approximately, *exactly*.
 import pytest
 
 from repro.cluster import Mesh, paper_testbed
-from repro.core import coarsen, derive_plan, routed_from_json, routed_to_json
+from repro.core import (
+    CostConfig, coarsen, derive_plan, routed_from_json, routed_to_json,
+)
 from repro.graph import trim_auxiliary
 from repro.models import LARGE_PRESETS, MODEL_PRESETS, build_preset
 
@@ -47,9 +49,9 @@ def _assert_tiers_identical(results):
     assert got.cost == ref.cost
     assert got.tp_degree == ref.tp_degree
     assert got.candidates_examined == ref.candidates_examined
-    # Bounded candidates are abandoned before validity is known, so
-    # valid_plans may undercount the reference loop — but never exceed.
-    assert got.valid_plans <= ref.valid_plans
+    # The bound only skips pricing valid candidates: priced plus skipped
+    # is exactly the reference loop's valid count.
+    assert got.valid_plans + got.bound_skipped == ref.valid_plans
     assert ref.bound_skipped == 0
     # every candidate is one evaluator row, computed exactly once
     assert got.rows_priced == got.candidates_examined
@@ -76,21 +78,29 @@ def test_tiers_agree_across_meshes(preset, mesh_name):
     _assert_tiers_identical(results)
 
 
+@pytest.mark.parametrize("zero_stage", [0, 1, 2])
+@pytest.mark.parametrize("objective", ["comm", "time"])
+@pytest.mark.parametrize("preset", ["t5_large", "switch_like"])
+def test_tiers_agree_across_objectives_and_zero(preset, objective, zero_stage):
+    """``objective="time"`` adds compute into the bound, and ZeRO stages
+    change the gradient-stream pricing the bound skips."""
+    results = _derive_all_tiers(
+        _graph(preset), paper_testbed(2, 8),
+        cost_config=CostConfig(objective=objective), zero_stage=zero_stage,
+    )
+    _assert_tiers_identical(results)
+    assert results["columnar"].plan.zero_stage == zero_stage
+
+
 @pytest.mark.parametrize("preset", ["t5_large", "switch_like"])
 def test_tiers_agree_without_bound(preset):
-    """Disabling branch-and-bound must not change the winner."""
-    ng = _graph(preset)
-    bounded = _derive_all_tiers(ng, paper_testbed(2, 8))
-    unbounded = _derive_all_tiers(ng, paper_testbed(2, 8), use_bound=False)
-    _assert_tiers_identical(unbounded)
-    # With the bound off every candidate is fully classified, so the
-    # valid count matches the reference loop exactly.
-    assert (
-        unbounded["columnar"].valid_plans == unbounded["reference"].valid_plans
-    )
-    assert unbounded["columnar"].plan == bounded["columnar"].plan
-    assert unbounded["columnar"].cost == bounded["columnar"].cost
-    assert unbounded["columnar"].bound_skipped == 0
+    """The reference loop is the unbounded sweep: it prices every valid
+    candidate, and the bound changes neither the winner nor its cost."""
+    results = _derive_all_tiers(_graph(preset), paper_testbed(2, 8))
+    _assert_tiers_identical(results)
+    bounded, unbounded = results["columnar"], results["reference"]
+    assert bounded.bound_skipped > 0
+    assert bounded.valid_plans < unbounded.valid_plans
 
 
 def test_columnar_winner_round_trips_through_json():
@@ -105,8 +115,8 @@ def test_columnar_winner_round_trips_through_json():
 
 def test_columnar_counters_reported():
     """The search counters are live after a real columnar search: the
-    bound fires, and what it skips plus what is valid fits inside the
-    candidates examined."""
+    bound fires, and the valid candidates it skips plus those priced fit
+    inside the candidates examined."""
     ng = _graph("t5_large")
     result = derive_plan(ng, paper_testbed(2, 8), engine="columnar")
     assert result.bound_skipped > 0

@@ -1,8 +1,8 @@
 """Tests for candidate enumeration and evaluation (:mod:`repro.core.evaluate`).
 
 The fast path's contract is bit-exact equivalence with the reference
-path: whatever sequence of candidates is evaluated, the incremental
-columnar evaluator must classify each candidate (valid/invalid) exactly
+path: whatever sequence of candidates is evaluated, the columnar
+evaluator must classify each candidate (valid/invalid) exactly
 as a fresh ``route_plan`` does and price valid ones to the exact float
 ``CostModel.plan_cost`` produces.  These tests drive randomized candidate
 sequences through both paths and compare, plus the Gray-code enumeration
@@ -23,7 +23,6 @@ from repro.core import (
     coarsen,
     decision_groups,
     derive_plan,
-    enumerate_block_plans,
     iter_gray_plans,
     route_plan,
     search_block_candidates,
@@ -102,13 +101,11 @@ class TestGrayEnumeration:
         truncated = list(iter_gray_plans(groups, max_plans=2))
         assert truncated[-1] == ({}, None)
 
-    def test_enumerate_block_plans_fallback_under_cap(self, encoder_block):
+    def test_block_fallback_under_zero_cap(self, encoder_block):
         # Even a zero budget yields the guaranteed all-replicate plan.
-        plans = list(
-            enumerate_block_plans(encoder_block, DEFAULT_REGISTRY, 8, max_plans=0)
-        )
-        assert len(plans) == 1
-        assert plans[0].num_sharded == 0
+        groups = decision_groups(encoder_block, DEFAULT_REGISTRY, 8)
+        plans = list(iter_gray_plans(groups, max_plans=0))
+        assert plans == [({}, None)]
 
 
 class TestEvaluatorEquivalence:
@@ -123,7 +120,7 @@ class TestEvaluatorEquivalence:
     def test_randomized_candidates_match_fresh_route_and_price(
         self, encoder_block, mesh
     ):
-        """Random one-group mutations: incremental price == fresh price."""
+        """Random one-group mutations: columnar price == fresh price."""
         tp = 8
         cm = CostModel(mesh)
         evaluator = ColumnarEvaluator(encoder_block, DEFAULT_REGISTRY, tp, cm)
@@ -182,33 +179,35 @@ class TestSearchEquivalence:
     def test_bound_changes_nothing_but_skips_candidates(
         self, encoder_block, mesh
     ):
+        # the reference sweep is the unbounded one: it prices every valid
+        # candidate
         cm = CostModel(mesh)
         bounded = search_block_candidates(
-            encoder_block, DEFAULT_REGISTRY, 8, cm, use_bound=True
+            encoder_block, DEFAULT_REGISTRY, 8, cm, engine="columnar"
         )
         unbounded = search_block_candidates(
-            encoder_block, DEFAULT_REGISTRY, 8, cm, use_bound=False
+            encoder_block, DEFAULT_REGISTRY, 8, cm, engine="reference"
         )
         assert bounded.best_assignment == unbounded.best_assignment
         assert bounded.best_cost == unbounded.best_cost
         assert bounded.candidates == unbounded.candidates
         assert bounded.bound_skipped > 0
         assert unbounded.bound_skipped == 0
-        # bounded candidates are abandoned before validity is known
-        assert bounded.valid <= unbounded.valid
+        # the bound skips only valid candidates, and only their pricing
+        assert bounded.valid + bounded.bound_skipped == unbounded.valid
 
     def test_derive_plan_engine_and_bound_agree(self, t5_nodes, mesh):
         reference = derive_plan(t5_nodes, mesh, engine="reference")
-        variants = [
-            derive_plan(t5_nodes, mesh),
-            derive_plan(t5_nodes, mesh, use_bound=False),
-        ]
-        for result in variants:
-            assert result.plan.as_dict == reference.plan.as_dict
-            assert result.cost == reference.cost
-            assert result.tp_degree == reference.tp_degree
-            assert result.candidates_examined == reference.candidates_examined
-        assert variants[0].bound_skipped > 0
+        result = derive_plan(t5_nodes, mesh)
+        assert result.plan.as_dict == reference.plan.as_dict
+        assert result.cost == reference.cost
+        assert result.tp_degree == reference.tp_degree
+        assert result.candidates_examined == reference.candidates_examined
+        assert result.bound_skipped > 0
+        assert (
+            result.valid_plans + result.bound_skipped
+            == reference.valid_plans
+        )
 
     def test_lazy_routed_plan_matches_eager(self, t5_nodes, mesh):
         eng = derive_plan(t5_nodes, mesh)

@@ -8,8 +8,9 @@ from repro.core import (
     DEFAULT_REGISTRY,
     ShardingPlan,
     coarsen,
+    decision_groups,
     derive_plan,
-    enumerate_block_plans,
+    iter_gray_plans,
 )
 from repro.models import MoEConfig, TransformerConfig, build_moe_transformer, build_t5
 
@@ -17,6 +18,15 @@ from repro.models import MoEConfig, TransformerConfig, build_moe_transformer, bu
 def nodes_for(graph):
     trimmed, _ = trim_auxiliary(graph)
     return coarsen(trimmed)
+
+
+def block_plans(block, tp, max_plans=50_000):
+    """Every candidate plan of *block*, in the search's Gray order."""
+    groups = decision_groups(block, DEFAULT_REGISTRY, tp)
+    return [
+        ShardingPlan.of(assignment, tp)
+        for assignment, _ in iter_gray_plans(groups, max_plans)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -35,32 +45,32 @@ class TestEnumeration:
         """Paper §6.3.1: 3 choices x 6 weight groups = 729 candidates."""
         members = [n.name for n in t5_nodes if "encoder/layer_0" in n.name]
         block = t5_nodes.subgraph(members)
-        plans = list(enumerate_block_plans(block, DEFAULT_REGISTRY, 8))
+        plans = block_plans(block, 8)
         assert len(plans) == 729
 
     def test_decoder_ties_cross_attention(self, t5_nodes):
         """mha and cross_mha share decisions, so a decoder block is also 729."""
         members = [n.name for n in t5_nodes if "decoder/layer_0" in n.name]
         block = t5_nodes.subgraph(members)
-        plans = list(enumerate_block_plans(block, DEFAULT_REGISTRY, 8))
+        plans = block_plans(block, 8)
         assert len(plans) == 729
 
     def test_first_plan_is_all_replicate(self, t5_nodes):
         members = [n.name for n in t5_nodes if "encoder/layer_0" in n.name]
         block = t5_nodes.subgraph(members)
-        first = next(iter(enumerate_block_plans(block, DEFAULT_REGISTRY, 8)))
+        first = block_plans(block, 8)[0]
         assert first.num_sharded == 0
 
     def test_max_plans_cap(self, t5_nodes):
         members = [n.name for n in t5_nodes if "encoder/layer_0" in n.name]
         block = t5_nodes.subgraph(members)
-        plans = list(enumerate_block_plans(block, DEFAULT_REGISTRY, 8, max_plans=10))
+        plans = block_plans(block, 8, max_plans=10)
         assert len(plans) == 10
 
     def test_tp1_single_plan(self, t5_nodes):
         members = [n.name for n in t5_nodes if "encoder/layer_0" in n.name]
         block = t5_nodes.subgraph(members)
-        plans = list(enumerate_block_plans(block, DEFAULT_REGISTRY, 1))
+        plans = block_plans(block, 1)
         assert len(plans) == 1
 
 
