@@ -28,7 +28,6 @@ from .core import (
     RoutingError,
     ShardingPlan,
     derive_plan,
-    normalize_engine,
     route_plan,
     what_if_profiles,
 )
@@ -99,21 +98,15 @@ def evaluate_plan(
     config: Optional[CostConfig] = None,
     registry: PatternRegistry = DEFAULT_REGISTRY,
     name: Optional[str] = None,
-    engine="columnar",
 ) -> PlanEvaluation:
-    """Price one plan; invalid plans return a marked, infinite evaluation.
-
-    ``engine`` selects the simulation tier (``"columnar"`` or the
-    ``"reference"`` oracle); both tiers produce bit-identical evaluations.
-    """
-    normalize_engine(engine)
+    """Price one plan; invalid plans return a marked, infinite evaluation."""
     label = name or plan.name or "plan"
     try:
         routed = route_plan(node_graph, plan, registry)
     except RoutingError:
         return _invalid_evaluation(label, plan)
     cfg = config or CostConfig()
-    prof = simulate_iteration(routed, mesh, cfg, engine=engine)
+    prof = simulate_iteration(routed, mesh, cfg)
     return _evaluation_from(label, plan, routed, prof, mesh, cfg)
 
 
@@ -124,17 +117,14 @@ def compare_plans(
     config: Optional[CostConfig] = None,
     include_tap: bool = True,
     extra_plans: Optional[Dict[str, ShardingPlan]] = None,
-    engine="columnar",
 ) -> List[PlanEvaluation]:
     """Evaluate the named strategies (and TAP's pick) side by side.
 
     The candidate set is routed up front and simulated as **one**
     columnar batch (:func:`repro.core.what_if_profiles`) rather than one
-    event-loop replay per plan; ``engine="reference"`` restores the
-    per-plan oracle loop, bit-identically.  Returns evaluations
-    sorted by communication cost (TAP's objective).
+    event-loop replay per plan.  Returns evaluations sorted by
+    communication cost (TAP's objective).
     """
-    normalize_engine(engine)
     tp = tp_degree if tp_degree is not None else mesh.gpus_per_node
     labelled: List = [
         (name, builder(node_graph, tp)) for name, builder in NAMED_PLANS.items()
@@ -147,7 +137,7 @@ def compare_plans(
 
     cfg = config or CostConfig()
     outcomes = what_if_profiles(
-        node_graph, [plan for _, plan in labelled], mesh, cfg, engine=engine
+        node_graph, [plan for _, plan in labelled], mesh, cfg
     )
     evaluations: List[PlanEvaluation] = []
     for (label, plan), outcome in zip(labelled, outcomes):
@@ -167,7 +157,6 @@ def sweep(
     configurations: Dict[str, Mesh],
     batch_tokens: Sequence[int] = (16 * 512,),
     registry: PatternRegistry = DEFAULT_REGISTRY,
-    engine="columnar",
 ) -> List[Dict]:
     """Derive TAP's plan across meshes × batch sizes.
 
@@ -175,17 +164,16 @@ def sweep(
     cost and the simulated step time — the raw data behind "how does the
     best plan move as my system changes?".  Each point is a different
     (mesh, config) pair, so the step times come from per-point
-    ``simulate_iteration`` calls on the *engine* tier rather than one
-    batch (batching shares a mesh/config across plans).
+    ``simulate_iteration`` calls rather than one batch (batching shares
+    a mesh/config across plans).
     """
-    normalize_engine(engine)
     records: List[Dict] = []
     for mesh_name, mesh in configurations.items():
         for tokens in batch_tokens:
             cfg = CostConfig(batch_tokens=tokens)
             result = derive_plan(node_graph, mesh, registry=registry,
                                  cost_config=cfg)
-            prof = simulate_iteration(result.routed, mesh, cfg, engine=engine)
+            prof = simulate_iteration(result.routed, mesh, cfg)
             records.append(
                 {
                     "mesh": mesh_name,
@@ -208,7 +196,6 @@ def zero_crossover(
     tp_degree: Optional[int] = None,
     stages: Sequence[int] = (0, 1, 2),
     registry: PatternRegistry = DEFAULT_REGISTRY,
-    engine="columnar",
 ) -> List[Dict]:
     """The memory-vs-communication trade of the ZeRO axis, per stage.
 
@@ -222,7 +209,6 @@ def zero_crossover(
     The crossover question — "is ZeRO worth it here?" — is answered by
     where the saved bytes start mattering more than the added seconds.
     """
-    normalize_engine(engine)
     cfg = config or CostConfig()
     result = derive_plan(
         node_graph,
@@ -241,7 +227,7 @@ def zero_crossover(
             zero_stage=stage,
         )
         routed = route_plan(node_graph, plan, registry)
-        prof = simulate_iteration(routed, mesh, cfg, engine=engine)
+        prof = simulate_iteration(routed, mesh, cfg)
         mem = memory_per_device(routed, mesh, cfg)
         record = {
             "zero_stage": stage,

@@ -16,7 +16,9 @@ Commands
     ``--engine {columnar,reference}`` picks the simulation tier
     (bit-identical results, different speed); ``--remote URL`` asks a
     running planner daemon's ``POST /simulate`` instead, which prices a
-    whole candidate set in one cached columnar batch.
+    whole candidate set in one cached columnar batch.  The daemon
+    always answers on the columnar tier, so ``--engine`` and
+    ``--remote`` are mutually exclusive (on ``plan`` too).
 ``verify``
     Static analysis: ``verify plan`` re-checks a derived or saved plan
     against the sharding invariants (divisibility, pattern chains,
@@ -186,7 +188,6 @@ def _run_remote_plan(args) -> int:
         fabric=args.fabric,
         batch_tokens=args.batch_tokens,
         min_duplicate=args.min_duplicate,
-        engine=args.engine,
         zero_stage=args.zero,
     )
     client = PlannerClient(args.remote)
@@ -294,7 +295,6 @@ def _run_remote_simulate(args) -> int:
             batch_tokens=args.batch_tokens,
             plans=labels,
             tp_degree=args.tp,
-            engine=args.engine,
         )
     except ValueError as exc:
         raise SystemExit(f"bad simulate request: {exc}")
@@ -538,11 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fabric", choices=("paper", "nvlink"), default="paper")
     p.add_argument("--batch-tokens", type=int, default=16 * 512)
     p.add_argument("--min-duplicate", type=int, default=2)
-    p.add_argument("--engine", choices=("columnar", "reference"),
-                   default="columnar",
-                   help="evaluation tier: the vectorized columnar core "
-                        "(default) or the reference per-candidate loop — "
-                        "bit-identical plans and costs")
     p.add_argument("--zero", type=int, nargs="?", const=1, default=0,
                    choices=(0, 1, 2), metavar="STAGE",
                    help="ZeRO-style optimizer-state sharding stage: "
@@ -554,9 +549,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", metavar="FILE",
                    help="record the pipeline as a Chrome trace (merged "
                         "with the simulated iteration; open in Perfetto)")
-    p.add_argument("--remote", metavar="URL",
-                   help="send the request to a running planner daemon "
-                        "(see 'repro serve') instead of searching locally")
+    # The daemon always answers on the columnar tier, so a tier and a
+    # remote are exclusive (argparse exits 2 when both are given).
+    where = p.add_mutually_exclusive_group()
+    where.add_argument("--engine", choices=("columnar", "reference"),
+                       default="columnar",
+                       help="evaluation tier: the vectorized columnar core "
+                            "(default) or the reference per-candidate loop "
+                            "— bit-identical plans and costs")
+    where.add_argument("--remote", metavar="URL",
+                       help="send the request to a running planner daemon "
+                            "(see 'repro serve') instead of searching "
+                            "locally")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("simulate", help="price a named or saved plan")
@@ -567,14 +571,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", default="2x8")
     p.add_argument("--fabric", choices=("paper", "nvlink"), default="paper")
     p.add_argument("--batch-tokens", type=int, default=16 * 512)
-    p.add_argument("--engine", choices=("columnar", "reference"),
-                   default="columnar",
-                   help="simulation tier: the vectorized columnar tier "
-                        "(default) or the reference event loop — "
-                        "bit-identical")
-    p.add_argument("--remote", metavar="URL",
-                   help="send the request to a running planner daemon's "
-                        "POST /simulate (see 'repro serve')")
+    where = p.add_mutually_exclusive_group()
+    where.add_argument("--engine", choices=("columnar", "reference"),
+                       default="columnar",
+                       help="simulation tier: the vectorized columnar tier "
+                            "(default) or the reference event loop — "
+                            "bit-identical")
+    where.add_argument("--remote", metavar="URL",
+                       help="send the request to a running planner daemon's "
+                            "POST /simulate (see 'repro serve')")
     p.add_argument("--plans", default=None,
                    help="with --remote: comma-separated plan labels "
                         "(named plans and/or 'tap'; default: --plan)")

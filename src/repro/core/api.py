@@ -21,9 +21,7 @@ from typing import Optional, Sequence
 from ..cluster import Mesh
 from ..graph import Graph, trim_auxiliary
 from .cost import CostBreakdown, CostConfig, CostModel
-from .evaluate import normalize_engine
 from .graphnode import NodeGraph, coarsen
-from .packing import PackingConfig
 from .patterns import DEFAULT_REGISTRY, PatternRegistry
 from .plan import RoutedPlan, ShardingPlan
 from .planner import SearchResult, derive_plan
@@ -146,28 +144,23 @@ def what_if_profiles(
     config: Optional[CostConfig] = None,
     registry: PatternRegistry = DEFAULT_REGISTRY,
     *,
-    engine="columnar",
     recompute=None,
 ):
     """Route and simulate many candidate plans in one batched replay.
 
     The core entry point behind what-if surfaces (plan comparison
     tables, sweep loops, the service's ``POST /simulate``): every plan
-    is routed, and all routable plans are priced together —
-    ``engine="columnar"`` (the default) folds their timelines in a
-    single :func:`repro.simulator.simulate_batch` call instead of one
-    event-loop replay per plan.  ``engine="reference"`` falls back to
-    per-plan :func:`simulate_iteration` on the oracle loop,
-    bit-identically.
+    is routed, and all routable plans are priced together in a single
+    :func:`repro.simulator.simulate_batch` call instead of one
+    event-loop replay per plan.  The oracle for the batch is per-plan
+    :func:`repro.simulator.simulate_iteration` with
+    ``engine="reference"``; both give bit-identical profiles.
 
     Returns a list aligned with *plans*: ``(routed, profile)`` per
     routable plan, ``None`` where routing failed.
     """
-    from ..simulator import simulate_batch, simulate_iteration
+    from ..simulator import simulate_batch
 
-    tier = normalize_engine(engine)
-    mesh = split(mesh)
-    cfg = config or CostConfig()
     slots = []
     routed_plans = []
     for i, plan in enumerate(plans):
@@ -176,13 +169,9 @@ def what_if_profiles(
         except RoutingError:
             continue
         slots.append(i)
-    if tier == "columnar":
-        profiles = simulate_batch(routed_plans, mesh, cfg, recompute)
-    else:
-        profiles = [
-            simulate_iteration(r, mesh, cfg, recompute, engine=tier)
-            for r in routed_plans
-        ]
+    profiles = simulate_batch(
+        routed_plans, split(mesh), config or CostConfig(), recompute
+    )
     out = [None] * len(plans)
     for i, routed, prof in zip(slots, routed_plans, profiles):
         out[i] = (routed, prof)
@@ -196,8 +185,6 @@ def auto_parallel(
     min_duplicate: int = 2,
     tp_degrees: Optional[Sequence[int]] = None,
     registry: PatternRegistry = DEFAULT_REGISTRY,
-    cost_config: Optional[CostConfig] = None,
-    packing: Optional[PackingConfig] = None,
     use_pruning: bool = True,
     zero_stage: int = 0,
 ) -> ParallelizedModel:
@@ -214,9 +201,7 @@ def auto_parallel(
     instead of silently producing a wrong program.
     """
     mesh = split(mesh)
-    cost_config = cost_config or CostConfig(
-        batch_tokens=batch_tokens, packing=packing or PackingConfig()
-    )
+    cost_config = CostConfig(batch_tokens=batch_tokens)
     trimmed, record = trim_auxiliary(model)
     node_graph = coarsen(trimmed)
     search = plan_request(

@@ -25,11 +25,13 @@ fingerprints cover the three inputs of :func:`repro.core.planner.derive_plan`:
     ``min_duplicate``, ``tp_degrees``, ``use_pruning``,
     ``max_plans_per_block``, and the registry's pattern inventory.
 
-Deliberately **excluded** from the key: the evaluation tier (``engine=``)
-— both tiers select the bit-identical plan (asserted by the tier-parity
-tests), so caching across them is sound.  The tier that *produced* a
-cached entry is recorded in the cache envelope for observability, not in
-the key.
+No evaluation tier is part of the key, because no request names one:
+the service always runs the columnar fast path, and the reference
+oracle (``derive_plan(engine="reference")``) runs only in-process,
+selecting the bit-identical plan (asserted by the tier-parity tests).
+The cache envelope's ``engine`` header records the tier that produced
+an entry, for observability; entries written under retired tier names
+still load.
 
 ``plan_cache_key`` combines the three into a versioned, filename-safe
 key::

@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence
 
 from ..cluster import Mesh
 from ..core.cost import CostConfig, CostModel
-from ..core.evaluate import normalize_engine
 from ..core.graphnode import NodeGraph
 from ..core.patterns import DEFAULT_REGISTRY, PatternRegistry
 from ..core.planner import SearchResult, derive_plan
@@ -94,7 +93,6 @@ def pipeline_with_tap(
     microbatches: int = 8,
     cost_config: Optional[CostConfig] = None,
     registry: PatternRegistry = DEFAULT_REGISTRY,
-    engine="columnar",
 ) -> HybridPipelinePlan:
     """Slice into stages, run TAP per stage, assemble the hybrid plan.
 
@@ -102,9 +100,6 @@ def pipeline_with_tap(
     stage's sub-mesh keeps the original topology class with
     ``num_devices / num_stages`` devices (whole nodes first).  Microbatches
     shrink the pipeline bubble at the usual (m + s - 1)/m cost model.
-    ``engine`` forwards to each stage's :func:`simulate_iteration`
-    (``"reference"`` selects the oracle event loop over the columnar
-    default).
     """
     if num_stages < 1:
         raise ValueError("num_stages must be >= 1")
@@ -114,7 +109,6 @@ def pipeline_with_tap(
         )
     if microbatches < 1:
         raise ValueError("microbatches must be >= 1")
-    normalize_engine(engine)
 
     cfg = cost_config or CostConfig()
     order = node_graph.topo_order()
@@ -153,9 +147,7 @@ def pipeline_with_tap(
         block = node_graph.subgraph(stage_nodes, name=f"stage_{idx}")
         search = derive_plan(block, stage_mesh, registry=registry,
                              cost_config=stage_cfg)
-        profile = simulate_iteration(
-            search.routed, stage_mesh, stage_cfg, engine=engine
-        )
+        profile = simulate_iteration(search.routed, stage_mesh, stage_cfg)
         boundary_spec = (
             node_graph.node(order[hi - 1]).output_spec if hi - 1 >= 0 else None
         )

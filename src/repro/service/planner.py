@@ -399,7 +399,6 @@ class PlannerService:
             [plan for _, plan in labelled],
             request.mesh(),
             request.cost_config(),
-            engine=request.engine,
         )
         profiles: List[Dict] = []
         for (label, _plan), outcome in zip(labelled, outcomes):
@@ -428,7 +427,7 @@ class PlannerService:
             profiles,
             key=key,
             fingerprints=fps,
-            engine=request.engine,
+            engine="columnar",
             timings={
                 "simulate_s": round(time.perf_counter() - sim_start, 6),
                 "tap_search_s": round(tap_seconds, 6),

@@ -3,8 +3,8 @@
 A service request names a model *preset* from the zoo rather than
 shipping a serialised graph: presets are a few bytes on the wire, build
 deterministically in any process, and make the worker-side fingerprint
-cross-check (below) meaningful.  The dataclass round-trips through plain
-dicts (``to_doc``/``from_doc``) so it can cross both the HTTP boundary
+cross-check (below) meaningful.  The dataclasses round-trip through plain
+dicts (``to_doc``/``from_doc``) so they can cross both the HTTP boundary
 and the process-pool pickle boundary unchanged.
 
 Cache identity is computed from the request via
@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import ClassVar, Dict, Optional, Tuple
 
 from ..cluster import Mesh, paper_testbed
 from ..core import (
@@ -33,7 +33,6 @@ from ..core import (
     config_fingerprint,
     graph_fingerprint,
     mesh_fingerprint,
-    normalize_engine,
 )
 from ..graph import trim_auxiliary
 from ..models import MODEL_PRESETS, build_preset
@@ -56,13 +55,17 @@ FABRICS = ("paper", "nvlink")
 
 
 @dataclass(frozen=True)
-class PlanRequest:
-    """One planning request, as it travels over the wire.
+class _PresetRequest:
+    """The fields, validation and wire codec both request kinds share.
 
-    ``engine`` steers *how fast* the search runs, never what it selects
-    (both tiers are bit-identical) — it is carried for the executing
-    worker but excluded from the cache key.
+    A request names a preset, the mesh it runs on and the search knobs;
+    it never names an evaluation tier.  The service always answers on
+    the columnar fast path, and a document that still carries an
+    ``engine`` field fails the unknown-field check (HTTP 400).
     """
+
+    #: noun for error messages ("plan request ...")
+    kind: ClassVar[str] = "request"
 
     model: str
     mesh_nodes: int = 2
@@ -72,8 +75,6 @@ class PlanRequest:
     min_duplicate: int = 2
     tp_degrees: Optional[Tuple[int, ...]] = None
     use_pruning: bool = True
-    engine: str = "columnar"
-    zero_stage: int = 0
 
     def __post_init__(self) -> None:
         if self.fabric not in FABRICS:
@@ -87,12 +88,6 @@ class PlanRequest:
             )
         if self.batch_tokens < 1:
             raise ValueError(f"batch_tokens must be >= 1, got {self.batch_tokens}")
-        if self.zero_stage not in (0, 1, 2):
-            raise ValueError(
-                f"zero_stage must be 0, 1 or 2, got {self.zero_stage!r}"
-            )
-        # Fail fast on a bad tier name here, not in the worker process.
-        normalize_engine(self.engine)
         if self.tp_degrees is not None:
             object.__setattr__(self, "tp_degrees", tuple(self.tp_degrees))
 
@@ -106,131 +101,9 @@ class PlanRequest:
 
     def label(self) -> str:
         """Human-readable tag stored alongside the opaque cache key."""
-        zero = f"/zero{self.zero_stage}" if self.zero_stage else ""
-        return (
-            f"{self.model}@{self.mesh_nodes}x{self.mesh_gpus}"
-            f"/{self.fabric}/bt{self.batch_tokens}{zero}"
-        )
-
-    def to_doc(self) -> Dict:
-        doc = {
-            "model": self.model,
-            "mesh_nodes": self.mesh_nodes,
-            "mesh_gpus": self.mesh_gpus,
-            "fabric": self.fabric,
-            "batch_tokens": self.batch_tokens,
-            "min_duplicate": self.min_duplicate,
-            "tp_degrees": list(self.tp_degrees) if self.tp_degrees else None,
-            "use_pruning": self.use_pruning,
-            "engine": self.engine,
-        }
-        # Emitted only when on, so documents exchanged with (and recorded
-        # by) pre-ZeRO clients stay byte-identical.
-        if self.zero_stage:
-            doc["zero_stage"] = self.zero_stage
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: Dict) -> "PlanRequest":
-        if not isinstance(doc, dict):
-            raise TypeError(f"plan request must be a mapping, got {type(doc)}")
-        model = doc.get("model")
-        if not isinstance(model, str) or not model:
-            raise ValueError("plan request must name a model preset")
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ValueError(f"unknown plan request fields: {unknown}")
-        kwargs = {k: v for k, v in doc.items() if v is not None or k == "tp_degrees"}
-        if kwargs.get("tp_degrees") is not None:
-            kwargs["tp_degrees"] = tuple(int(d) for d in kwargs["tp_degrees"])
-        return cls(**kwargs)
-
-
-#: Candidate set a simulate request prices when it does not name its own:
-#: every named baseline strategy plus TAP's discovered plan.
-DEFAULT_SIM_PLANS = ("dp", "mha_only", "ffn_only", "megatron", "tap")
-
-
-@dataclass(frozen=True)
-class SimulateRequest:
-    """One batched what-if simulation request, as it travels over the wire.
-
-    Names a preset and a candidate-plan list (baseline labels from
-    ``NAMED_PLANS`` and/or ``"tap"``); the service routes every candidate
-    and prices them in one columnar batch.  ``engine`` selects the
-    simulation tier for the *executing* side only — both tiers are
-    bit-identical, so it is excluded from the cache key exactly like
-    :class:`PlanRequest.engine`.
-    """
-
-    model: str
-    mesh_nodes: int = 2
-    mesh_gpus: int = 8
-    fabric: str = "paper"
-    batch_tokens: int = 16 * 512
-    plans: Tuple[str, ...] = DEFAULT_SIM_PLANS
-    tp_degree: Optional[int] = None
-    min_duplicate: int = 2
-    tp_degrees: Optional[Tuple[int, ...]] = None
-    use_pruning: bool = True
-    engine: str = "columnar"
-
-    def __post_init__(self) -> None:
-        if self.fabric not in FABRICS:
-            raise ValueError(
-                f"fabric must be one of {FABRICS}, got {self.fabric!r}"
-            )
-        if self.mesh_nodes < 1 or self.mesh_gpus < 1:
-            raise ValueError(
-                f"mesh must be at least 1x1, got "
-                f"{self.mesh_nodes}x{self.mesh_gpus}"
-            )
-        if self.batch_tokens < 1:
-            raise ValueError(f"batch_tokens must be >= 1, got {self.batch_tokens}")
-        object.__setattr__(self, "plans", tuple(self.plans))
-        if not self.plans:
-            raise ValueError("simulate request must name at least one plan")
-        for label in self.plans:
-            if not isinstance(label, str) or not label:
-                raise ValueError(f"plan labels must be non-empty strings, got {label!r}")
-        if self.tp_degree is not None and self.tp_degree < 1:
-            raise ValueError(f"tp_degree must be >= 1, got {self.tp_degree}")
-        # Fail fast on a bad simulation-tier name at the client boundary.
-        normalize_engine(self.engine)
-        if self.tp_degrees is not None:
-            object.__setattr__(self, "tp_degrees", tuple(self.tp_degrees))
-
-    def mesh(self) -> Mesh:
-        if self.fabric == "paper":
-            return paper_testbed(self.mesh_nodes, self.mesh_gpus)
-        return Mesh(num_nodes=self.mesh_nodes, gpus_per_node=self.mesh_gpus)
-
-    def cost_config(self) -> CostConfig:
-        return CostConfig(batch_tokens=self.batch_tokens)
-
-    def effective_tp(self) -> int:
-        """Degree the named-plan builders shard to."""
-        return self.tp_degree if self.tp_degree is not None else self.mesh_gpus
-
-    def plan_request(self) -> PlanRequest:
-        """The search request backing the ``"tap"`` candidate."""
-        return PlanRequest(
-            model=self.model,
-            mesh_nodes=self.mesh_nodes,
-            mesh_gpus=self.mesh_gpus,
-            fabric=self.fabric,
-            batch_tokens=self.batch_tokens,
-            min_duplicate=self.min_duplicate,
-            tp_degrees=self.tp_degrees,
-            use_pruning=self.use_pruning,
-        )
-
-    def label(self) -> str:
         return (
             f"{self.model}@{self.mesh_nodes}x{self.mesh_gpus}"
             f"/{self.fabric}/bt{self.batch_tokens}"
-            f"/plans[{','.join(self.plans)}]"
         )
 
     def to_doc(self) -> Dict:
@@ -240,35 +113,107 @@ class SimulateRequest:
             "mesh_gpus": self.mesh_gpus,
             "fabric": self.fabric,
             "batch_tokens": self.batch_tokens,
-            "plans": list(self.plans),
-            "tp_degree": self.tp_degree,
             "min_duplicate": self.min_duplicate,
             "tp_degrees": list(self.tp_degrees) if self.tp_degrees else None,
             "use_pruning": self.use_pruning,
-            "engine": self.engine,
         }
 
     @classmethod
-    def from_doc(cls, doc: Dict) -> "SimulateRequest":
+    def from_doc(cls, doc: Dict):
         if not isinstance(doc, dict):
-            raise TypeError(f"simulate request must be a mapping, got {type(doc)}")
+            raise TypeError(f"{cls.kind} request must be a mapping, got {type(doc)}")
         model = doc.get("model")
         if not isinstance(model, str) or not model:
-            raise ValueError("simulate request must name a model preset")
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = sorted(set(doc) - known)
+            raise ValueError(f"{cls.kind} request must name a model preset")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
-            raise ValueError(f"unknown simulate request fields: {unknown}")
-        kwargs = {
-            k: v
-            for k, v in doc.items()
-            if v is not None or k in ("tp_degrees", "tp_degree")
-        }
-        if kwargs.get("plans") is not None:
-            kwargs["plans"] = tuple(str(p) for p in kwargs["plans"])
-        if kwargs.get("tp_degrees") is not None:
+            raise ValueError(f"unknown {cls.kind} request fields: {unknown}")
+        # A null field means its default (every nullable field defaults
+        # to None).
+        kwargs = {k: v for k, v in doc.items() if v is not None}
+        if "tp_degrees" in kwargs:
             kwargs["tp_degrees"] = tuple(int(d) for d in kwargs["tp_degrees"])
         return cls(**kwargs)
+
+
+@dataclass(frozen=True)
+class PlanRequest(_PresetRequest):
+    """One planning request, as it travels over the wire."""
+
+    kind: ClassVar[str] = "plan"
+
+    zero_stage: int = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.zero_stage not in (0, 1, 2):
+            raise ValueError(
+                f"zero_stage must be 0, 1 or 2, got {self.zero_stage!r}"
+            )
+
+    def label(self) -> str:
+        zero = f"/zero{self.zero_stage}" if self.zero_stage else ""
+        return super().label() + zero
+
+    def to_doc(self) -> Dict:
+        doc = super().to_doc()
+        # Emitted only when on, so documents exchanged with (and recorded
+        # by) pre-ZeRO clients stay byte-identical.
+        if self.zero_stage:
+            doc["zero_stage"] = self.zero_stage
+        return doc
+
+
+#: Candidate set a simulate request prices when it does not name its own:
+#: every named baseline strategy plus TAP's discovered plan.
+DEFAULT_SIM_PLANS = ("dp", "mha_only", "ffn_only", "megatron", "tap")
+
+
+@dataclass(frozen=True)
+class SimulateRequest(_PresetRequest):
+    """One batched what-if simulation request, as it travels over the wire.
+
+    Names a preset and a candidate-plan list (baseline labels from
+    ``NAMED_PLANS`` and/or ``"tap"``); the service routes every candidate
+    and prices them in one columnar batch.  The search knobs it shares
+    with :class:`PlanRequest` steer the ``"tap"`` candidate's search.
+    """
+
+    kind: ClassVar[str] = "simulate"
+
+    plans: Tuple[str, ...] = DEFAULT_SIM_PLANS
+    tp_degree: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "plans", tuple(self.plans))
+        if not self.plans:
+            raise ValueError("simulate request must name at least one plan")
+        for label in self.plans:
+            if not isinstance(label, str) or not label:
+                raise ValueError(f"plan labels must be non-empty strings, got {label!r}")
+        if self.tp_degree is not None and self.tp_degree < 1:
+            raise ValueError(f"tp_degree must be >= 1, got {self.tp_degree}")
+
+    def effective_tp(self) -> int:
+        """Degree the named-plan builders shard to."""
+        return self.tp_degree if self.tp_degree is not None else self.mesh_gpus
+
+    def plan_request(self) -> PlanRequest:
+        """The search request backing the ``"tap"`` candidate: every
+        shared field, nothing of the candidate set."""
+        return PlanRequest(
+            **{f.name: getattr(self, f.name) for f in fields(_PresetRequest)}
+        )
+
+    def label(self) -> str:
+        return super().label() + f"/plans[{','.join(self.plans)}]"
+
+    def to_doc(self) -> Dict:
+        doc = super().to_doc()
+        doc["plans"] = list(self.plans)
+        doc["tp_degree"] = self.tp_degree
+        return doc
 
 
 def build_request_graph(request: PlanRequest) -> NodeGraph:
@@ -311,7 +256,7 @@ def request_fingerprints(
             min_duplicate=request.min_duplicate,
             tp_degrees=request.tp_degrees,
             use_pruning=request.use_pruning,
-            zero_stage=getattr(request, "zero_stage", 0),
+            zero_stage=request.zero_stage,
         ),
     }
 
@@ -343,7 +288,9 @@ def simulate_request_key(
     in the config fingerprint exactly as they do for plan keys, so the
     embedded ``tap`` candidate is the plan the plan cache would serve.
     """
-    fps = request_fingerprints(request, node_graph, graph_fp=graph_fp)  # type: ignore[arg-type]
+    fps = request_fingerprints(
+        request.plan_request(), node_graph, graph_fp=graph_fp
+    )
     plans_doc = {"plans": list(request.plans), "tp_degree": request.effective_tp()}
     plans_fp = hashlib.sha256(
         json.dumps(plans_doc, sort_keys=True, separators=(",", ":")).encode()

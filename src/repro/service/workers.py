@@ -67,7 +67,6 @@ def execute_request(doc: Dict) -> Dict:
         min_duplicate=request.min_duplicate,
         tp_degrees=request.tp_degrees,
         use_pruning=request.use_pruning,
-        engine=request.engine,
         zero_stage=request.zero_stage,
     )
     routed = search.routed  # materialise before serialising
@@ -76,7 +75,7 @@ def execute_request(doc: Dict) -> Dict:
         routed,
         key=key,
         fingerprints=fingerprints,
-        engine=request.engine,
+        engine="columnar",
         timings={
             "search_seconds": search.search_seconds,
             "wall_seconds": wall,

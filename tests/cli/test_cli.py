@@ -87,6 +87,16 @@ class TestEngineFlags:
         assert err.value.code == 2
         assert argv[-1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("base", [PLAN, SIM], ids=["plan", "simulate"])
+    def test_engine_excludes_remote(self, base, capsys):
+        # the daemon answers on the columnar tier only, so asking it for
+        # the oracle is a usage error, caught before any request is sent
+        with pytest.raises(SystemExit) as err:
+            main(base + ["--engine", "reference",
+                         "--remote", "http://127.0.0.1:9"])
+        assert err.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
     def test_plan_oracle_prints_same_plan_and_cost(self, capsys, tmp_path):
         with pytest.raises(SystemExit):
             main(["plan", "--help"])

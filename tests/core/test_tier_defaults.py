@@ -1,8 +1,8 @@
 """With no tier named, every stage runs its fast path: columnar.
 
-``derive_plan``, ``simulate_iteration`` and the planner service all
-default to the columnar tier; the reference loops run only when asked
-for by name.  The tier is read back from the ``engine`` attribute of the
+``derive_plan`` and ``simulate_iteration`` default to the columnar
+tier, and the planner service always runs it; the reference loops run
+only when asked for by name.  The tier is read back from the ``engine`` attribute of the
 ``enumerate``/``simulate`` spans and from the service's cache envelope.
 """
 
@@ -34,7 +34,6 @@ def test_library_defaults_run_columnar():
 def test_service_miss_records_columnar(tmp_path):
     request = PlanRequest(model="clip_base", mesh_nodes=1, mesh_gpus=4,
                           batch_tokens=1024)
-    assert request.engine == "columnar"
     with PlannerService(tmp_path, workers=None) as svc:
         response = svc.plan(request)
     assert response.source == "search"

@@ -4,7 +4,14 @@ import pytest
 
 import repro as tap
 from repro.cluster import Mesh, paper_testbed
-from repro.core import DEFAULT_REGISTRY, coarsen, derive_plan, route_plan
+from repro.core import (
+    DEFAULT_REGISTRY,
+    CostConfig,
+    CostModel,
+    coarsen,
+    derive_plan,
+    route_plan,
+)
 from repro.graph import COMM_OP_TYPES, trim_auxiliary
 from repro.models import (
     LARGE_PRESETS,
@@ -37,6 +44,25 @@ def test_auto_parallel_every_preset(preset):
     # parameters are conserved through trimming + rewriting... sharded
     # plans narrow weights, so compare against the routed accounting
     assert result.routed.total_local_weight_bytes() > 0
+
+
+def test_auto_parallel_prices_with_batch_tokens():
+    """The one cost knob is ``batch_tokens``; a caller cannot pass a
+    whole config that would silently override it."""
+    model = build_t5(TransformerConfig(encoder_layers=2, decoder_layers=2,
+                                       hidden=256, ffn_dim=1024, num_heads=4))
+    result = tap.auto_parallel(model, [1, 4], batch_tokens=1024)
+    trimmed, _ = trim_auxiliary(model)
+    ng = coarsen(trimmed)
+    mesh = Mesh(1, 4)
+    expected = derive_plan(ng, mesh, cost_config=CostConfig(batch_tokens=1024))
+    assert result.plan == expected.plan
+    assert result.breakdown.iteration_time == CostModel(
+        mesh, CostConfig(batch_tokens=1024)
+    ).estimate(expected.routed).iteration_time
+    for retired in ("cost_config", "packing"):
+        with pytest.raises(TypeError, match=retired):
+            tap.auto_parallel(model, [1, 4], **{retired: None})
 
 
 def test_search_is_deterministic():

@@ -26,7 +26,13 @@ from repro.core import (
 )
 from repro.graph import trim_auxiliary
 from repro.models import build_preset
-from repro.service import PlanRequest, request_fingerprints, request_key
+from repro.service import (
+    PlanRequest,
+    SimulateRequest,
+    request_fingerprints,
+    request_key,
+    simulate_request_key,
+)
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -145,38 +151,56 @@ def test_request_key_matches_library_key():
     assert sorted(fps) == ["config", "graph", "mesh"]
 
 
-def test_engine_does_not_change_the_key():
-    """Both evaluation tiers select bit-identical plans, so the tier is
-    deliberately not part of the cache identity."""
-    base = PlanRequest(model="clip_base", batch_tokens=8192)
-    for variant in (
-        PlanRequest(model="clip_base", batch_tokens=8192, engine="columnar"),
-        PlanRequest(model="clip_base", batch_tokens=8192, engine="reference"),
-    ):
-        assert request_key(variant)[0] == request_key(base)[0]
+#: Keys computed before the request types lost their evaluation-tier
+#: field; a refactor of the request layer must not move any of them.
+PINNED_KEYS = [
+    (PlanRequest(model="clip_base"),
+     "v1-g898036d10608efae-m3e1458d89063fe96-c3dd67cd150cf41e1"),
+    (PlanRequest(model="t5_large", batch_tokens=4096, zero_stage=1),
+     "v1-g994928051ed37e08-m3e1458d89063fe96-c23097389e330c624"),
+    (SimulateRequest(model="clip_base"),
+     "sim-v1-g898036d10608efae-m3e1458d89063fe96-c3dd67cd150cf41e1"
+     "-p862a49d705e1f157"),
+    (SimulateRequest(model="clip_base", plans=("dp", "tap"), tp_degree=4,
+                     mesh_nodes=4, mesh_gpus=4),
+     "sim-v1-g898036d10608efae-mfd99c37585197320-c3dd67cd150cf41e1"
+     "-p59493ef34fddac10"),
+]
 
 
-def test_request_doc_carries_no_jobs_and_defaults_to_columnar():
-    doc = PlanRequest(model="clip_base", batch_tokens=8192).to_doc()
-    assert doc["engine"] == "columnar"
-    assert "jobs" not in doc
+@pytest.mark.parametrize("request_,key", PINNED_KEYS,
+                         ids=["plan", "plan-zero", "sim", "sim-plans"])
+def test_request_keys_are_pinned(request_, key):
+    if isinstance(request_, SimulateRequest):
+        assert simulate_request_key(request_)[0] == key
+    else:
+        assert request_key(request_)[0] == key
+
+
+@pytest.mark.parametrize("cls", [PlanRequest, SimulateRequest])
+def test_request_docs_carry_no_retired_knobs(cls):
+    doc = cls(model="clip_base", batch_tokens=8192).to_doc()
+    assert "jobs" not in doc and "engine" not in doc
 
 
 @pytest.mark.parametrize("field,value,named", [
     ("jobs", 2, "jobs"),
     ("engine", "engine", "'engine'"),
-    ("engine", True, "True"),
+    ("engine", "reference", "'engine'"),
 ])
 def test_from_doc_rejects_retired_knobs(field, value, named):
-    """Docs from clients that still send ``jobs`` or the retired engine
-    tier fail loudly, naming the offending field or value."""
-    with pytest.raises(ValueError, match=named):
-        PlanRequest.from_doc({"model": "clip_base", field: value})
+    """Docs from clients that still send ``jobs`` or an evaluation tier
+    fail loudly, naming the offending field, whatever its value."""
+    for cls in (PlanRequest, SimulateRequest):
+        with pytest.raises(ValueError, match=named):
+            cls.from_doc({"model": "clip_base", field: value})
+        with pytest.raises(TypeError):
+            cls(model="clip_base", **{field: value})
 
 
 def test_request_doc_roundtrip():
     request = PlanRequest(model="bert_large", tp_degrees=(1, 8),
-                          batch_tokens=4096, engine="reference")
+                          batch_tokens=4096)
     doc = json.loads(json.dumps(request.to_doc()))
     assert PlanRequest.from_doc(doc) == request
     with pytest.raises(ValueError):

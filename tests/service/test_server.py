@@ -103,12 +103,14 @@ def test_unframeable_body_is_refused_unread(server, content_length, status):
 @pytest.mark.parametrize("field,value,named", [
     ("jobs", 2, "jobs"),
     ("engine", "engine", "'engine'"),
+    ("engine", "reference", "'engine'"),
 ])
 def test_retired_knobs_get_400(server, field, value, named):
     client = PlannerClient(server.url)
-    with pytest.raises(ServiceError, match="400") as err:
-        client._call("/plan", {"model": "clip_base", field: value})
-    assert named in str(err.value)
+    for path in ("/plan", "/simulate"):
+        with pytest.raises(ServiceError, match="400") as err:
+            client._call(path, {"model": "clip_base", field: value})
+        assert named in str(err.value)
 
 
 def test_remote_shutdown_stops_server(tmp_path):

@@ -23,7 +23,6 @@ class TestRequestAndKey:
     def test_defaults(self):
         req = SimulateRequest(model="clip_base")
         assert req.plans == DEFAULT_SIM_PLANS
-        assert req.engine == "columnar"
         assert req.effective_tp() == req.mesh_gpus
 
     def test_doc_roundtrip(self):
@@ -36,12 +35,11 @@ class TestRequestAndKey:
         with pytest.raises(ValueError):
             SimulateRequest(model="clip_base", plans=())
         with pytest.raises(ValueError):
-            SimulateRequest(model="clip_base", engine="warp-speed")
-        with pytest.raises(ValueError):
             SimulateRequest(model="clip_base", tp_degree=0)
 
     def test_retired_replay_tier_rejected(self):
-        with pytest.raises(ValueError, match="'replay'"):
+        # a request names no tier at all, retired or current
+        with pytest.raises(ValueError, match="'engine'"):
             SimulateRequest.from_doc(dict(SIM_REQ.to_doc(), engine="replay"))
 
     def test_key_is_stable_and_prefixed(self):
@@ -61,18 +59,19 @@ class TestRequestAndKey:
         # the sim key embeds the base key, so the shared fingerprints agree
         assert plan_key in sim_key
 
-    def test_key_ignores_engine_but_not_plans(self):
-        # both tiers are bit-identical, so the tier must NOT fragment the
-        # cache; the plan set and tp degree must.
-        k_col, _ = simulate_request_key(SIM_REQ)
-        k_ref, _ = simulate_request_key(
-            SimulateRequest(**dict(SIM_REQ.to_doc(), engine="reference"))
-        )
-        assert k_col == k_ref
-        k_other, _ = simulate_request_key(
-            SimulateRequest(**dict(SIM_REQ.to_doc(), plans=("dp",)))
-        )
-        assert k_other != k_col
+    def test_key_tracks_plans_and_tp(self):
+        # the plan set and the degree the builders shard to are part of
+        # the identity; the embedded search request's knobs ride in the
+        # shared config fingerprint
+        k, _ = simulate_request_key(SIM_REQ)
+        for change in ({"plans": ("dp",)}, {"tp_degree": 4}):
+            other, _ = simulate_request_key(
+                SimulateRequest(**dict(SIM_REQ.to_doc(), **change))
+            )
+            assert other != k
+        assert simulate_request_key(
+            SimulateRequest(**dict(SIM_REQ.to_doc(), tp_degree=8))
+        )[0] == k
 
 
 class TestServiceSimulate:

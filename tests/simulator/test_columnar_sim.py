@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.analysis import evaluate_plan
+from repro.analysis import compare_plans, evaluate_plan, sweep, zero_crossover
 from repro.baselines import NAMED_PLANS
 from repro.cluster import paper_testbed
 from repro.core import CostConfig, DEFAULT_REGISTRY, derive_plan, route_plan
 from repro.core.evaluate import ENGINE_TIERS
-from repro.core.api import what_if_profiles
+from repro.core.api import plan_request, what_if_profiles
 from repro.passes import pipeline_with_tap, select_recompute_scopes
-from repro.service import SimulateRequest
+from repro.service import PlanRequest, SimulateRequest
 from repro.simulator import columnar
 from repro.simulator import (
     ColumnarTape,
@@ -128,20 +128,30 @@ class TestEngineNormalization:
             simulate_iteration(None, mesh, reference=True)
 
     def test_unknown_tier_rejected(self, routed):
-        # every simulator-facing surface rejects an unknown tier up front
+        # the surfaces that run a tier reject an unknown one up front ...
         mesh = paper_testbed(1, 8)
         ng = nodes_for("t5_large")
         plan = NAMED_PLANS["megatron"](ng, mesh.gpus_per_node)
         for bad in ("warp-speed", "", None):
             for call in (
                 lambda: simulate_iteration(routed, mesh, engine=bad),
-                lambda: what_if_profiles(ng, [plan], mesh, engine=bad),
-                lambda: evaluate_plan(ng, plan, mesh, engine=bad),
-                lambda: pipeline_with_tap(ng, mesh, 2, engine=bad),
-                lambda: SimulateRequest(model="t5_large", engine=bad),
+                lambda: plan_request(ng, mesh, engine=bad),
             ):
                 with pytest.raises(ValueError, match="must be one of"):
                     call()
+        # ... and the surfaces that only forwarded one take no tier at all
+        for call in (
+            lambda: what_if_profiles(ng, [plan], mesh, engine="reference"),
+            lambda: evaluate_plan(ng, plan, mesh, engine="reference"),
+            lambda: compare_plans(ng, mesh, engine="reference"),
+            lambda: sweep(ng, {"1x8": mesh}, engine="reference"),
+            lambda: zero_crossover(ng, mesh, engine="reference"),
+            lambda: pipeline_with_tap(ng, mesh, 2, engine="reference"),
+            lambda: SimulateRequest(model="t5_large", engine="reference"),
+            lambda: PlanRequest(model="t5_large", engine="reference"),
+        ):
+            with pytest.raises(TypeError, match="engine"):
+                call()
 
 
 class TestSimulateBatch:
@@ -201,17 +211,22 @@ class TestSimulateBatch:
 
 class TestWhatIfProfiles:
     def test_columnar_equals_reference_surface(self):
+        # the batch against the per-plan oracle loop on the same plans
         mesh = paper_testbed(2, 8)
         ng = nodes_for("t5_large")
         tp = mesh.gpus_per_node
         plans = [NAMED_PLANS[label](ng, tp) for label in sorted(NAMED_PLANS)]
-        col = what_if_profiles(ng, plans, mesh, engine="columnar")
-        ref = what_if_profiles(ng, plans, mesh, engine="reference")
-        assert len(col) == len(ref) == len(plans)
-        for c, r in zip(col, ref):
-            assert (c is None) == (r is None)
-            if c is not None:
-                assert c[1].as_dict() == r[1].as_dict()
+        batch = what_if_profiles(ng, plans, mesh)
+        assert len(batch) == len(plans)
+        for plan, outcome in zip(plans, batch):
+            assert outcome is not None
+            routed, prof = outcome
+            ref = simulate_iteration(
+                route_plan(ng, plan, DEFAULT_REGISTRY), mesh,
+                engine="reference",
+            )
+            assert prof.as_dict() == ref.as_dict()
+            assert logs(prof) == logs(ref)
 
     def test_unroutable_plan_gets_none_slot(self):
         from repro.core import ShardingPlan
