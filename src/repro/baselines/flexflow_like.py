@@ -4,7 +4,9 @@ FlexFlow [15] explores the Sample/Operator/Attribute/Parameter space with
 Markov-chain Monte Carlo: propose a random mutation of the current
 parallelisation, accept if better (or with Boltzmann probability if
 worse), repeat for a budget of trials, evaluating each proposal with a
-cost-model query that walks the whole graph (O(V + E) per trial).
+cost-model query over the whole graph (O(V + E) per trial): one
+full-graph :meth:`ColumnarEvaluator.price`, as the Alpa-like comparator
+prices its stages.
 
 No space reduction happens, so total work is O(B · (V + E)) — the
 complexity row Table 2 assigns FlexFlow.
@@ -19,13 +21,18 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..cluster import Mesh
+from ..core.columnar import ColumnarEvaluator
 from ..core.cost import CostConfig, CostModel
+from ..core.evaluate import EVAL_VALID
 from ..core.graphnode import NodeGraph
 from ..core.patterns import DEFAULT_REGISTRY, PatternRegistry
 from ..core.plan import ShardingPlan
-from ..core.routing import RoutingError, route_plan
+from ..core.routing import RoutingError
 
 __all__ = ["MCMCResult", "flexflow_like_search"]
+
+#: Boltzmann temperature, relative to the current plan's cost.
+TEMPERATURE = 0.25
 
 
 @dataclass
@@ -47,7 +54,6 @@ def flexflow_like_search(
     cost_config: Optional[CostConfig] = None,
     registry: PatternRegistry = DEFAULT_REGISTRY,
     budget: int = 300,
-    temperature: float = 0.25,
     tp_degree: Optional[int] = None,
     seed: int = 0,
 ) -> MCMCResult:
@@ -72,18 +78,10 @@ def flexflow_like_search(
 
     current: Dict[str, str] = {n: "replicate" for n in options}
 
-    def evaluate(assignment) -> Optional[float]:
-        """Cost of one proposal (a full routing walk), or None when invalid."""
-        plan = ShardingPlan.of(
-            {k: v for k, v in assignment.items() if v != "replicate"}, tp
-        )
-        try:
-            return cm.plan_cost(route_plan(node_graph, plan, registry))
-        except RoutingError:
-            return None
+    evaluator = ColumnarEvaluator(node_graph, registry, tp, cm)
 
-    current_cost = evaluate(current)
-    if current_cost is None:  # pragma: no cover - all-replicate always routes
+    status, current_cost = evaluator.price(current)
+    if status != EVAL_VALID:  # pragma: no cover - all-replicate always routes
         raise RoutingError("baseline all-replicate plan failed to route")
     result.best_cost = current_cost
     result.best_plan = ShardingPlan.of({}, tp, name="flexflow")
@@ -94,13 +92,13 @@ def flexflow_like_search(
         if mutable:
             victim = rng.choice(mutable)
             proposal[victim] = rng.choice(options[victim])
-        cost = evaluate(proposal)
-        if cost is None:
+        status, cost = evaluator.price(proposal)
+        if status != EVAL_VALID:
             result.invalid += 1
             result.trajectory.append(current_cost)
             continue
         accept = cost < current_cost or rng.random() < math.exp(
-            -(cost - current_cost) / max(temperature * max(current_cost, 1e-12), 1e-12)
+            -(cost - current_cost) / max(TEMPERATURE * max(current_cost, 1e-12), 1e-12)
         )
         if accept:
             current, current_cost = proposal, cost

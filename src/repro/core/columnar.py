@@ -1,11 +1,11 @@
 """Columnar search core — the ``engine="columnar"`` evaluation tier.
 
-The reference sweep (:mod:`repro.core.evaluate`) routes and prices every
-candidate with a Python walk over the block's nodes.  On graphs with tens
-of thousands of nodes that inner loop is the floor on search time.  This
-module removes the loop: a block is compiled **once** into a flat
-struct-of-arrays form and whole chunks of candidates are then routed and
-priced as batched numpy array operations.
+The oracle evaluator (:class:`repro.core.evaluate.RouteEvaluator`)
+routes and prices every candidate with a Python walk over the block's
+nodes.  On graphs with tens of thousands of nodes that inner loop is the
+floor on search time.  This module removes the loop: a block is
+compiled **once** into a flat struct-of-arrays form and whole chunks of
+candidates are then routed and priced as batched numpy array operations.
 
 Array layout (one compile per ``(block, registry)``, cached on the block):
 
@@ -67,7 +67,7 @@ from .cost import (
 from .evaluate import (
     EVAL_INVALID,
     EVAL_VALID,
-    BlockSearchOutcome,
+    FamilySearch,
     iter_gray_digits,
 )
 from .graphnode import GraphNode, NodeGraph
@@ -634,8 +634,8 @@ class ColumnarEvaluator:
     :meth:`price_batch` prices many single-move variants of one base
     assignment in a single compute.  Evaluation is a batch of table
     gathers and row-wise cumulative sums instead of a per-node Python
-    walk, and every finite cost is bit-identical to
-    ``plan_cost(route_plan(...))`` of the same assignment.
+    walk, and every status and finite cost is bit-identical to
+    :class:`repro.core.evaluate.RouteEvaluator`'s for the same assignment.
     """
 
     def __init__(
@@ -850,7 +850,7 @@ def columnar_block_search(
     max_plans: int,
     groups: List[Tuple[List[str], List[str]]],
     zero_stage: int = 0,
-) -> BlockSearchOutcome:
+) -> FamilySearch:
     """The Gray-order candidate sweep, evaluated in columnar chunks.
 
     The sweep consumes :func:`iter_gray_digits` directly — candidates are
@@ -863,7 +863,7 @@ def columnar_block_search(
     gradient-stream pricing; every other row is priced, so incumbent
     updates and first-wins selection are identical to the oracle's sweep.
     """
-    out = BlockSearchOutcome()
+    out = FamilySearch(tp_degree=tp_degree)
     ev = ColumnarEvaluator(block, registry, tp_degree, cost_model, zero_stage)
     d = ev._deg
     sk = ev._sk

@@ -1,25 +1,37 @@
-"""Candidate enumeration and the per-block search of Algorithm 2.
+"""Candidate evaluation and the searches of Algorithm 2.
 
-Every candidate assignment of a block's decision groups is routed
-(Algorithm 3) and priced; the cheapest valid one wins under strict
-first-wins comparison.  Two tiers evaluate the sweep, selected by
-``engine=``:
+Algorithm 2 (§4.4) has one primitive: route a candidate assignment
+(Algorithm 3) and, if it routes, price it.  Two evaluators implement it
+behind one interface, with bit-identical statuses and costs:
+``price(assignment) -> (status, cost)`` and ``price_batch(base,
+variants)``, one ``price`` of ``{**base, **v}`` per variant.
 
-* ``"columnar"`` (the default, :mod:`repro.core.columnar`) compiles the
-  block once into struct-of-arrays tables and routes + prices whole
-  chunks of candidates as batched numpy operations, with an admissible
-  bound: cost terms are non-negative and IEEE addition of non-negative
-  values is monotone, so a valid candidate whose routed totals already
-  strictly exceed the incumbent cannot win and skips its gradient-stream
-  pricing.
-* ``"reference"`` is the oracle: a fresh :func:`route_plan` and
-  :meth:`CostModel.plan_cost` per candidate.
+* ``"columnar"`` (the default tier,
+  :class:`repro.core.columnar.ColumnarEvaluator`) compiles the graph once
+  into struct-of-arrays tables and prices whole batches as numpy
+  operations;
+* ``"reference"`` (:class:`RouteEvaluator`) is the oracle: a fresh
+  :func:`route_plan` and :meth:`CostModel.plan_cost` per candidate.
 
-Both tiers walk the *same* enumeration — mixed-radix reflected Gray
-order (:func:`iter_gray_digits`, Knuth 7.2.1.1, loopless Algorithm H),
-where consecutive candidates differ in exactly one decision group and
-the fastest-changing digit drives the topologically last group — so
-they select the bit-identical assignment at the bit-identical cost.
+The searches built on them return one record, :class:`FamilySearch`:
+
+* :func:`search_block_candidates` — the exhaustive block sweep, in
+  mixed-radix reflected Gray order (:func:`iter_gray_digits`, Knuth
+  7.2.1.1, loopless Algorithm H), where consecutive candidates differ in
+  exactly one decision group and the fastest-changing digit drives the
+  topologically last group.  The reference tier prices each candidate
+  with :meth:`RouteEvaluator.price`; the columnar tier sweeps the same
+  order in chunks (:func:`repro.core.columnar.columnar_block_search`)
+  under an admissible bound: cost terms are non-negative and IEEE
+  addition of non-negative values is monotone, so a valid candidate
+  whose routed totals already strictly exceed the incumbent cannot win
+  and skips its gradient-stream pricing.
+* :func:`coordinate_descent` — one single-move pass on either
+  evaluator: each group's options priced with every other choice held
+  fixed.
+
+Strict first-wins comparison over the same candidates makes both tiers
+select the bit-identical assignment at the bit-identical cost.
 """
 
 from __future__ import annotations
@@ -32,12 +44,15 @@ from .cost import CostModel
 from .graphnode import NodeGraph
 from .patterns import PatternRegistry
 from .plan import ShardingPlan
+from .pruning import SubgraphFamily
 from .routing import RoutingError, route_plan
 
 __all__ = [
     "EVAL_VALID",
     "EVAL_INVALID",
-    "BlockSearchOutcome",
+    "FamilySearch",
+    "RouteEvaluator",
+    "coordinate_descent",
     "decision_groups",
     "iter_gray_digits",
     "iter_gray_plans",
@@ -56,9 +71,72 @@ def normalize_engine(engine) -> str:
     raise ValueError(f"engine must be one of {ENGINE_TIERS}, got {engine!r}")
 
 
-#: Outcome of one columnar candidate evaluation.
+#: The status of one evaluation, on either evaluator.
 EVAL_VALID = 0
 EVAL_INVALID = 1
+
+
+@dataclass
+class FamilySearch:
+    """Search record for one block (a shared-subgraph family, the whole
+    graph, or the uncovered residual) at one TP degree."""
+
+    #: the family searched (``None`` for the whole graph or the residual)
+    family: Optional[SubgraphFamily] = None
+    tp_degree: int = 0
+    candidates: int = 0
+    valid: int = 0
+    best_assignment: Dict[str, str] = field(default_factory=dict)
+    best_cost: float = float("inf")
+    #: valid candidates the admissible bound kept from pricing (0 on the
+    #: reference tier): ``valid + bound_skipped`` is the oracle's ``valid``
+    bound_skipped: int = 0
+    #: candidate rows the columnar evaluator computed (0 on the reference
+    #: tier); equals ``candidates`` unless a row is priced twice
+    rows_priced: int = 0
+
+
+class RouteEvaluator:
+    """The oracle evaluator: a fresh :func:`route_plan` and
+    :meth:`CostModel.plan_cost` per assignment.
+
+    Same constructor and methods as
+    :class:`repro.core.columnar.ColumnarEvaluator`, so every search runs
+    unchanged on either tier.
+    """
+
+    #: the oracle computes no candidate rows
+    rows_priced = 0
+
+    def __init__(
+        self,
+        block: NodeGraph,
+        registry: PatternRegistry,
+        tp_degree: int,
+        cost_model: CostModel,
+        zero_stage: int = 0,
+    ) -> None:
+        self.block = block
+        self.registry = registry
+        self.tp = tp_degree
+        self.cost_model = cost_model
+        self.zero = zero_stage
+
+    def price(self, assignment: Dict[str, str]) -> Tuple[int, Optional[float]]:
+        """Route and price one assignment; weight nodes it does not name
+        stay replicated."""
+        plan = ShardingPlan.of(assignment, self.tp, zero_stage=self.zero)
+        try:
+            routed = route_plan(self.block, plan, self.registry)
+        except RoutingError:
+            return EVAL_INVALID, None
+        return EVAL_VALID, self.cost_model.plan_cost(routed)
+
+    def price_batch(
+        self, base: Dict[str, str], variants: List[Dict[str, str]]
+    ) -> List[Tuple[int, Optional[float]]]:
+        """One :meth:`price` of ``{**base, **v}`` per variant."""
+        return [self.price({**base, **variant}) for variant in variants]
 
 
 def decision_groups(
@@ -181,20 +259,56 @@ def iter_gray_plans(
         yield dict(assignment), changed
 
 
-@dataclass
-class BlockSearchOutcome:
-    """Result of the candidate sweep over one block at one TP degree."""
 
-    candidates: int = 0
-    valid: int = 0
-    best_assignment: Dict[str, str] = field(default_factory=dict)
-    best_cost: float = float("inf")
-    #: valid candidates the admissible bound kept from pricing (0 on the
-    #: reference tier): ``valid + bound_skipped`` is the oracle's ``valid``
-    bound_skipped: int = 0
-    #: candidate rows the columnar evaluator computed (0 on the reference
-    #: tier); equals ``candidates`` unless a row is priced twice
-    rows_priced: int = 0
+
+def coordinate_descent(
+    evaluator,
+    block: NodeGraph,
+    groups: List[Tuple[List[str], List[str]]],
+    base: Dict[str, str],
+) -> FamilySearch:
+    """One greedy coordinate-descent pass over *groups* on top of *base*.
+
+    Groups are decided largest weight (in *block*) first.  The base is
+    priced once, then each group's non-replicate options are priced in
+    one ``price_batch`` with every other choice held fixed, and the
+    cheapest is kept if it is strictly cheaper than the incumbent (first
+    wins on ties).  ``O(groups x options)`` evaluations instead of the
+    product; the record's ``best_assignment`` holds the moves taken, not
+    *base*.
+    """
+    rows_before = evaluator.rows_priced
+    record = FamilySearch(tp_degree=evaluator.tp)
+    ordered = sorted(
+        groups,
+        key=lambda g: -max(block.node(n).num_parameters for n in g[0]),
+    )
+    current: Dict[str, str] = {}
+    status, cost = evaluator.price(base)
+    record.candidates += 1
+    if status == EVAL_VALID:
+        record.valid += 1
+        record.best_cost = cost
+    for names, options in ordered:
+        tried = [option for option in options if option != "replicate"]
+        outcomes = evaluator.price_batch(
+            {**base, **current},
+            [{n: option for n in names} for option in tried],
+        )
+        best_option, best_cost = "replicate", record.best_cost
+        for option, (status, cost) in zip(tried, outcomes):
+            record.candidates += 1
+            if status != EVAL_VALID:
+                continue
+            record.valid += 1
+            if cost < best_cost:
+                best_cost, best_option = cost, option
+        if best_option != "replicate":
+            current.update({n: best_option for n in names})
+            record.best_cost = best_cost
+    record.best_assignment = current
+    record.rows_priced = evaluator.rows_priced - rows_before
+    return record
 
 
 def search_block_candidates(
@@ -205,15 +319,15 @@ def search_block_candidates(
     max_plans: int = 50_000,
     engine="columnar",
     zero_stage: int = 0,
-) -> BlockSearchOutcome:
+) -> FamilySearch:
     """Sweep every candidate assignment of *block* and keep the cheapest.
 
     ``engine`` selects the evaluation tier (see :func:`normalize_engine`):
-    ``"columnar"`` the array-batched core, ``"reference"`` a fresh
-    :func:`route_plan` and :meth:`CostModel.plan_cost` per candidate —
-    both over the *same* Gray-ordered enumeration, so they examine the
-    identical candidate sequence and, by strict first-wins comparison,
-    select the identical assignment at the identical cost.
+    ``"columnar"`` the array-batched, bounded sweep, ``"reference"`` one
+    :meth:`RouteEvaluator.price` per candidate — both over the *same*
+    Gray-ordered enumeration, so they examine the identical candidate
+    sequence and, by strict first-wins comparison, select the identical
+    assignment at the identical cost.
     """
     tier = normalize_engine(engine)
     with trace.span(
@@ -242,15 +356,14 @@ def _search_block_candidates(
     max_plans: int,
     tier: str,
     zero_stage: int,
-) -> BlockSearchOutcome:
-    out = BlockSearchOutcome()
+) -> FamilySearch:
     groups = decision_groups(block, registry, tp_degree)
     if not groups:
         # All-replicate fast path: a block whose every decision group is a
         # single pattern has exactly one candidate — the assembled plan's
         # default — so the family sweep has nothing to enumerate.  Both
         # tiers take this exit, keeping their counters identical.
-        return out
+        return FamilySearch(tp_degree=tp_degree)
     if tier == "columnar":
         from .columnar import columnar_block_search
 
@@ -258,18 +371,17 @@ def _search_block_candidates(
             block, registry, tp_degree, cost_model, max_plans, groups,
             zero_stage,
         )
+    out = FamilySearch(tp_degree=tp_degree)
+    evaluator = RouteEvaluator(
+        block, registry, tp_degree, cost_model, zero_stage
+    )
     for assignment, _changed in iter_gray_plans(groups, max_plans):
         out.candidates += 1
-        candidate = ShardingPlan.of(
-            assignment, tp_degree, zero_stage=zero_stage
-        )
-        try:
-            routed = route_plan(block, candidate, registry)
-        except RoutingError:
+        status, cost = evaluator.price(assignment)
+        if status != EVAL_VALID:
             continue
         out.valid += 1
-        cost = cost_model.plan_cost(routed)
         if cost < out.best_cost:
             out.best_cost = cost
-            out.best_assignment = candidate.as_dict
+            out.best_assignment = assignment
     return out

@@ -9,13 +9,16 @@
    block);
 3. validate each candidate by pattern routing (Algorithm 3) and price the
    valid ones with the communication cost model;
-4. broadcast each family's winner to all its instances, default everything
-   uncovered to replication, and route + price the assembled full plan.
+4. broadcast each family's winner to all its instances, decide the
+   uncovered weight nodes by one coordinate-descent pass over the full
+   graph, default everything else to replication, and price the
+   assembled full plan.
 
-Step 3 runs on the columnar core (:mod:`repro.core.columnar`): Gray-code
-enumeration, batched array routing + pricing and an admissible bound —
-selecting the bit-identical plan the reference per-candidate loop selects
-(``engine="reference"`` runs that loop as the oracle).
+``engine=`` picks the evaluator once per call — the columnar core
+(:class:`~repro.core.columnar.ColumnarEvaluator`, the default) or the
+route-everything oracle (:class:`~repro.core.evaluate.RouteEvaluator`) —
+and every step above runs the same code on either, selecting the
+bit-identical plan at the bit-identical cost.
 
 Multiple tensor-parallel degrees can be searched; each family's candidates
 are evaluated per degree and the best assembled plan across degrees wins.
@@ -33,6 +36,9 @@ from .cost import CostConfig, CostModel
 from .columnar import ColumnarEvaluator
 from .evaluate import (
     EVAL_VALID,
+    FamilySearch,
+    RouteEvaluator,
+    coordinate_descent,
     decision_groups,
     normalize_engine,
     search_block_candidates,
@@ -44,23 +50,6 @@ from .pruning import PruneResult, SubgraphFamily, prune_graph
 from .routing import RoutingError, route_plan
 
 __all__ = ["FamilySearch", "SearchResult", "derive_plan"]
-
-
-@dataclass
-class FamilySearch:
-    """Search record for one shared-subgraph family at one TP degree."""
-
-    family: Optional[SubgraphFamily]
-    tp_degree: int
-    candidates: int = 0
-    valid: int = 0
-    best_assignment: Dict[str, str] = field(default_factory=dict)
-    best_cost: float = float("inf")
-    #: valid candidates the columnar bound kept from pricing
-    bound_skipped: int = 0
-    #: candidate rows the columnar evaluator computed (0 on the reference
-    #: tier)
-    rows_priced: int = 0
 
 
 @dataclass
@@ -89,10 +78,10 @@ class SearchResult:
     def routed(self) -> RoutedPlan:
         """Full routing of the winning plan.
 
-        The columnar search already validated and priced the winner
-        without materialising a :class:`RoutedPlan`, so the walk that
-        builds one (shards, events, conversion table) runs on first access
-        — callers that only need the plan and its cost never pay for it.
+        The search already validated and priced the winner without
+        materialising a :class:`RoutedPlan`, so the walk that builds one
+        (shards, events, conversion table) runs on first access — callers
+        that only need the plan and its cost never pay for it.
         """
         if self._routed is None:
             self._routed = self._route_thunk()
@@ -151,11 +140,11 @@ def derive_plan(
 
     ``use_pruning=False`` searches the whole graph as a single block — the
     ablation that demonstrates why Algorithm 1 matters.  ``engine``
-    selects the candidate-evaluation tier: ``"columnar"`` (the default)
-    is the array-batched core, ``"reference"`` the route-everything
-    oracle loop.  The selected plan and cost are identical on both tiers,
-    because the reduction runs in a fixed order with strict first-wins
-    tie-breaking.
+    selects the evaluator every search step prices through:
+    ``"columnar"`` (the default) the array-batched core, ``"reference"``
+    the route-everything oracle.  The selected plan and cost are
+    identical on both tiers, because the reduction runs in a fixed order
+    with strict first-wins tie-breaking.
 
     ``zero_stage`` stamps the optimizer-state sharding axis onto every
     candidate (and the winner): 0 is today's replicated update, 1/2 the
@@ -200,105 +189,21 @@ def derive_plan(
     else:
         family_blocks = [(None, node_graph)]
 
-    def search_uncovered(
-        tp: int,
-        assignment: Dict[str, str],
-        evaluator: Optional[ColumnarEvaluator],
-    ) -> FamilySearch:
-        # Uncovered nodes interact with the family plans through their
-        # boundary conversions, so they are priced against the *full*
-        # graph with the family assignment fixed.  Joint enumeration would
-        # be exponential in the number of unique nodes; one greedy
-        # coordinate-descent pass (largest weights first, each group's
-        # options tried with the others held fixed) needs only a few
-        # full-graph pricing passes — one batched compute per group on
-        # the columnar tier.
-        record = FamilySearch(family=None, tp_degree=tp)
-        groups = decision_groups(uncovered_block, registry, tp)
-        groups.sort(
-            key=lambda g: -max(
-                uncovered_block.node(n).num_parameters for n in g[0]
-            )
-        )
-        current: Dict[str, str] = {}
+    evaluator_class = (
+        ColumnarEvaluator if tier == "columnar" else RouteEvaluator
+    )
 
-        if evaluator is not None:
-            # Full-graph evaluator: each trial is one row priced against
-            # the compiled column tables.
-            def full_cost(extra: Dict[str, str]) -> Optional[float]:
-                status, cost = evaluator.price({**assignment, **extra})
-                if status != EVAL_VALID:
-                    return None
-                return cost
-        else:
-
-            def full_cost(extra: Dict[str, str]) -> Optional[float]:
-                merged = ShardingPlan.of(
-                    {**assignment, **extra}, tp, zero_stage=zero_stage
-                )
-                try:
-                    routed = route_plan(node_graph, merged, registry)
-                except RoutingError:
-                    return None
-                return cost_model.plan_cost(routed)
-
-        base_cost = full_cost(current)
-        record.candidates += 1
-        if base_cost is not None:
-            record.valid += 1
-            record.best_cost = base_cost
-        for names, options in groups:
-            best_option, best_cost_here = "replicate", record.best_cost
-            tried = [option for option in options if option != "replicate"]
-            if evaluator is not None and tried:
-                # One batched compute per group: the same statuses and
-                # costs as pricing the trials one at a time.
-                base = {**assignment, **current}
-                outcomes_here = evaluator.price_batch(
-                    base, [{n: option for n in names} for option in tried]
-                )
-                costs = [
-                    cost if status == EVAL_VALID else None
-                    for status, cost in outcomes_here
-                ]
-            else:
-                costs = []
-                for option in tried:
-                    trial = dict(current)
-                    trial.update({n: option for n in names})
-                    costs.append(full_cost(trial))
-            for option, cost in zip(tried, costs):
-                record.candidates += 1
-                if cost is None:
-                    continue
-                record.valid += 1
-                if cost < best_cost_here:
-                    best_cost_here = cost
-                    best_option = option
-            if best_option != "replicate":
-                current.update({n: best_option for n in names})
-                record.best_cost = best_cost_here
-        record.best_assignment = current
-        if evaluator is not None:
-            record.rows_priced = evaluator.rows_priced
-        return record
-
-    # Per TP degree: sweep every family, run the uncovered search against
-    # the family winners, assemble and price the full plan.  On the
-    # columnar tier the assembled plan is priced by the same full-graph
-    # evaluator the uncovered descent used (bit-identical to routing and
-    # pricing it from scratch), and the single full ``route_plan`` is
-    # deferred to the winning degree after the reduction.
-    def assemble(
-        tp: int,
-    ) -> Tuple[
-        List[FamilySearch],
-        Optional[Tuple[ShardingPlan, Optional[RoutedPlan], float]],
+    # Per TP degree: sweep every family, decide the uncovered nodes against
+    # the family winners, and price the assembled plan — all through one
+    # full-graph evaluator.  The full ``route_plan`` is deferred to the
+    # winning degree after the reduction.
+    def assemble(tp: int) -> Tuple[
+        List[FamilySearch], Optional[Tuple[ShardingPlan, float]]
     ]:
         assignment: Dict[str, str] = {}
         records: List[FamilySearch] = []
         for fam, block in family_blocks:
-            o = search_block_candidates(
+            record = search_block_candidates(
                 block,
                 registry,
                 tp,
@@ -307,32 +212,30 @@ def derive_plan(
                 engine=tier,
                 zero_stage=zero_stage,
             )
-            records.append(
-                FamilySearch(
-                    family=fam,
-                    tp_degree=tp,
-                    candidates=o.candidates,
-                    valid=o.valid,
-                    best_assignment=o.best_assignment,
-                    best_cost=o.best_cost,
-                    bound_skipped=o.bound_skipped,
-                    rows_priced=o.rows_priced,
+            record.family = fam
+            records.append(record)
+            if fam is not None:
+                assignment.update(
+                    _broadcast_assignment(fam, record.best_assignment)
                 )
-            )
-            if o.best_assignment:
-                if fam is not None:
-                    assignment.update(
-                        _broadcast_assignment(fam, o.best_assignment)
-                    )
-                else:
-                    assignment.update(o.best_assignment)
-        evaluator = (
-            ColumnarEvaluator(node_graph, registry, tp, cost_model, zero_stage)
-            if tier == "columnar"
-            else None
+            else:
+                assignment.update(record.best_assignment)
+        evaluator = evaluator_class(
+            node_graph, registry, tp, cost_model, zero_stage
         )
         if uncovered_block is not None:
-            record = search_uncovered(tp, assignment, evaluator)
+            # Uncovered nodes interact with the family plans through their
+            # boundary conversions, so they are priced against the *full*
+            # graph with the family assignment fixed.  Joint enumeration
+            # would be exponential in the number of unique nodes; one
+            # coordinate-descent pass needs only a few full-graph pricing
+            # passes.
+            record = coordinate_descent(
+                evaluator,
+                uncovered_block,
+                decision_groups(uncovered_block, registry, tp),
+                assignment,
+            )
             records.append(record)
             assignment.update(record.best_assignment)
             if metrics.enabled():
@@ -342,46 +245,37 @@ def derive_plan(
                                 block="uncovered", tp=tp)
                 metrics.counter("search.valid", record.valid,
                                 block="uncovered", tp=tp)
+        with trace.span("price", tp=tp, engine=tier):
+            status, cost = evaluator.price(assignment)
+        if status != EVAL_VALID:
+            return records, None
         full_plan = ShardingPlan.of(
             assignment, tp, name=f"tap-tp{tp}", zero_stage=zero_stage
         )
-        if evaluator is not None:
-            with trace.span("price", tp=tp, engine=tier):
-                status, cost = evaluator.price(assignment)
-            if status != EVAL_VALID:
-                return records, None
-            return records, (full_plan, None, cost)
-        try:
-            routed_full = route_plan(node_graph, full_plan, registry)
-        except RoutingError:
-            return records, None
-        with trace.span("price", tp=tp, engine=tier):
-            cost = cost_model.plan_cost(routed_full)
-        return records, (full_plan, routed_full, cost)
+        return records, (full_plan, cost)
 
     # Reduction — fixed ascending-degree order with strict first-wins
     # comparison, so the winner is independent of the engine setting.
-    winner: Optional[Tuple[ShardingPlan, Optional[RoutedPlan], float]] = None
+    winner: Optional[Tuple[ShardingPlan, float]] = None
     family_records: List[FamilySearch] = []
     for tp in degrees:
         records, assembled = assemble(tp)
         family_records.extend(records)
         if assembled is None:
             continue
-        if winner is None or assembled[2] < winner[2]:
+        if winner is None or assembled[1] < winner[1]:
             winner = assembled
 
     if winner is None:
         raise RoutingError("no valid plan found for any tensor-parallel degree")
-    full_plan, routed_full, cost = winner
-    # Columnar path: no degree was ever routed in full — the winner's
-    # RoutedPlan materialises lazily on first ``.routed`` access.  The
-    # evaluator already validated the plan, so that walk cannot raise.
+    full_plan, cost = winner
+    # No degree was ever routed in full: the winner's RoutedPlan
+    # materialises lazily on first ``.routed`` access.  The evaluator
+    # already validated the plan, so that walk cannot raise.
     best = SearchResult(
         plan=full_plan,
         cost=cost,
         prune=prune,
-        _routed=routed_full,
         _route_thunk=lambda: route_plan(node_graph, full_plan, registry),
     )
     best.families = family_records

@@ -43,7 +43,6 @@ __all__ = [
     "resolve_pattern",
     "follow_required",
     "RoutingError",
-    "is_valid",
     "NONLINEAR_OPS",
     "FEATURE_AXIS_OPS",
 ]
@@ -581,14 +580,3 @@ def _effective_axis(
         if d == split_dim:
             return i
     return 0
-
-
-def is_valid(
-    block: NodeGraph, plan: ShardingPlan, registry: PatternRegistry
-) -> bool:
-    """Boolean form of Algorithm 3 used by the plan generator."""
-    try:
-        route_plan(block, plan, registry)
-        return True
-    except RoutingError:
-        return False

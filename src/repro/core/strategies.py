@@ -3,15 +3,18 @@
 The paper enumerates every pattern assignment inside the pruned block
 (tractable because pruning makes blocks small — 729 candidates for a
 transformer layer).  For blocks with many decision groups the exhaustive
-product still explodes, so this module provides drop-in strategies with
-different cost/quality trade-offs, all operating on the same decision
-groups (:func:`repro.core.evaluate.decision_groups`):
+product still explodes, so this module compares strategies with
+different cost/quality trade-offs.  All operate on the same decision
+groups (:func:`repro.core.evaluate.decision_groups`) and price through
+the columnar evaluator:
 
 ``exhaustive``
-    the paper's behaviour: every assignment in the groups' product;
+    the paper's behaviour: the planner's own Gray-order sweep of every
+    assignment (:func:`repro.core.evaluate.search_block_candidates`);
 ``greedy``
-    coordinate descent: decide one group at a time, best-first by weight
-    size — O(groups × options) routing calls;
+    the planner's uncovered-node search, one coordinate-descent pass
+    (:func:`repro.core.evaluate.coordinate_descent`): decide one group at
+    a time, largest weights first — O(groups × options) evaluations;
 ``beam``
     beam search of width k over the group sequence — between the two.
 
@@ -22,18 +25,22 @@ assignment found plus counters, so strategies are directly comparable
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cluster import Mesh
+from .columnar import ColumnarEvaluator
 from .cost import CostConfig, CostModel
-from .evaluate import decision_groups
+from .evaluate import (
+    EVAL_VALID,
+    FamilySearch,
+    coordinate_descent,
+    decision_groups,
+    search_block_candidates,
+)
 from .graphnode import NodeGraph
 from .patterns import DEFAULT_REGISTRY, PatternRegistry
-from .plan import ShardingPlan
-from .routing import RoutingError, route_plan
 
 __all__ = ["StrategyResult", "search_block", "STRATEGIES"]
 
@@ -50,72 +57,22 @@ class StrategyResult:
     seconds: float = 0.0
 
 
-def _evaluate(
-    block: NodeGraph,
-    assignment: Dict[str, str],
-    tp: int,
-    registry: PatternRegistry,
-    cm: CostModel,
-    result: StrategyResult,
-) -> Optional[float]:
-    result.candidates += 1
-    plan = ShardingPlan.of(
-        {k: v for k, v in assignment.items() if v != "replicate"}, tp
-    )
-    try:
-        routed = route_plan(block, plan, registry)
-    except RoutingError:
-        return None
-    result.valid += 1
-    return cm.plan_cost(routed)
+def _beam(evaluator, block, groups, max_candidates, width=4):
+    record = FamilySearch(tp_degree=evaluator.tp)
 
+    def price(assignment: Dict[str, str]) -> Optional[float]:
+        record.candidates += 1
+        status, cost = evaluator.price(assignment)
+        if status != EVAL_VALID:
+            return None
+        record.valid += 1
+        return cost
 
-def _exhaustive(block, groups, tp, registry, cm, result, max_candidates):
-    names_lists = [names for names, _ in groups]
-    option_lists = [opts for _, opts in groups]
-    for combo in itertools.product(*option_lists):
-        if result.candidates >= max_candidates:
-            break
-        assignment = {
-            n: pat for names, pat in zip(names_lists, combo) for n in names
-        }
-        cost = _evaluate(block, assignment, tp, registry, cm, result)
-        if cost is not None and cost < result.best_cost:
-            result.best_cost = cost
-            result.best_assignment = assignment
-
-
-def _greedy(block, groups, tp, registry, cm, result, max_candidates):
-    # decide the largest weights first: they dominate the cost landscape
     ordered = sorted(
         groups,
         key=lambda g: -max(block.node(n).num_parameters for n in g[0]),
     )
-    current: Dict[str, str] = {}
-    base = _evaluate(block, current, tp, registry, cm, result)
-    result.best_cost = base if base is not None else float("inf")
-    for names, options in ordered:
-        best_option, best_cost = "replicate", result.best_cost
-        for option in options:
-            if option == "replicate" or result.candidates >= max_candidates:
-                continue
-            trial = dict(current)
-            trial.update({n: option for n in names})
-            cost = _evaluate(block, trial, tp, registry, cm, result)
-            if cost is not None and cost < best_cost:
-                best_cost, best_option = cost, option
-        if best_option != "replicate":
-            current.update({n: best_option for n in names})
-            result.best_cost = best_cost
-    result.best_assignment = current
-
-
-def _beam(block, groups, tp, registry, cm, result, max_candidates, width=4):
-    ordered = sorted(
-        groups,
-        key=lambda g: -max(block.node(n).num_parameters for n in g[0]),
-    )
-    base = _evaluate(block, {}, tp, registry, cm, result)
+    base = price({})
     beam: List[Tuple[float, Dict[str, str]]] = [
         (base if base is not None else float("inf"), {})
     ]
@@ -123,12 +80,12 @@ def _beam(block, groups, tp, registry, cm, result, max_candidates, width=4):
         frontier: List[Tuple[float, Dict[str, str]]] = []
         for cost, assignment in beam:
             for option in options:
-                if result.candidates >= max_candidates:
+                if record.candidates >= max_candidates:
                     break
                 trial = dict(assignment)
                 if option != "replicate":
                     trial.update({n: option for n in names})
-                    new_cost = _evaluate(block, trial, tp, registry, cm, result)
+                    new_cost = price(trial)
                     if new_cost is None:
                         continue
                 else:
@@ -147,14 +104,12 @@ def _beam(block, groups, tp, registry, cm, result, max_candidates, width=4):
                 break
         if not beam:
             beam = [(float("inf"), {})]
-    result.best_cost, result.best_assignment = beam[0]
+    record.best_cost, record.best_assignment = beam[0]
+    return record
 
 
-STRATEGIES: Dict[str, Callable] = {
-    "exhaustive": _exhaustive,
-    "greedy": _greedy,
-    "beam": _beam,
-}
+#: the strategies :func:`search_block` runs, in ablation-table order
+STRATEGIES = ("exhaustive", "greedy", "beam")
 
 
 def search_block(
@@ -166,17 +121,37 @@ def search_block(
     cost_config: Optional[CostConfig] = None,
     max_candidates: int = 50_000,
 ) -> StrategyResult:
-    """Run one strategy over one block; returns the best assignment found."""
+    """Run one strategy over one block; returns the best assignment found.
+
+    ``max_candidates`` caps the exhaustive sweep and the beam; one
+    coordinate-descent pass is already O(groups × options).
+    """
     if strategy not in STRATEGIES:
         raise ValueError(
             f"unknown strategy {strategy!r}; options: {sorted(STRATEGIES)}"
         )
     cm = CostModel(mesh, cost_config)
     groups = decision_groups(block, registry, tp_degree)
-    result = StrategyResult(strategy=strategy)
     start = time.perf_counter()
-    STRATEGIES[strategy](
-        block, groups, tp_degree, registry, cm, result, max_candidates
+    if strategy == "exhaustive" and groups:
+        record = search_block_candidates(
+            block, registry, tp_degree, cm, max_plans=max_candidates
+        )
+        # count every candidate that routes, priced or not
+        record.valid += record.bound_skipped
+    else:
+        evaluator = ColumnarEvaluator(block, registry, tp_degree, cm)
+        if strategy == "beam":
+            record = _beam(evaluator, block, groups, max_candidates)
+        else:
+            # without decision groups the descent prices exactly the one
+            # all-replicate candidate, the whole exhaustive space
+            record = coordinate_descent(evaluator, block, groups, {})
+    return StrategyResult(
+        strategy=strategy,
+        best_assignment=record.best_assignment,
+        best_cost=record.best_cost,
+        candidates=record.candidates,
+        valid=record.valid,
+        seconds=time.perf_counter() - start,
     )
-    result.seconds = time.perf_counter() - start
-    return result

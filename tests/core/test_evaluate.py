@@ -19,8 +19,10 @@ from repro.core import (
     DEFAULT_REGISTRY,
     ColumnarEvaluator,
     CostModel,
+    RouteEvaluator,
     ShardingPlan,
     coarsen,
+    coordinate_descent,
     decision_groups,
     derive_plan,
     iter_gray_plans,
@@ -29,7 +31,7 @@ from repro.core import (
 )
 from repro.core.evaluate import EVAL_VALID
 from repro.core.routing import RoutingError
-from repro.models import TransformerConfig, build_t5
+from repro.models import TransformerConfig, build_preset, build_t5
 
 
 def nodes_for(graph):
@@ -120,10 +122,12 @@ class TestEvaluatorEquivalence:
     def test_randomized_candidates_match_fresh_route_and_price(
         self, encoder_block, mesh
     ):
-        """Random one-group mutations: columnar price == fresh price."""
+        """Random one-group mutations: columnar price == fresh price, and
+        columnar price_batch == the oracle evaluator's."""
         tp = 8
         cm = CostModel(mesh)
         evaluator = ColumnarEvaluator(encoder_block, DEFAULT_REGISTRY, tp, cm)
+        oracle = RouteEvaluator(encoder_block, DEFAULT_REGISTRY, tp, cm)
         groups = decision_groups(encoder_block, DEFAULT_REGISTRY, tp)
         rng = random.Random(7)
         assignment = {}
@@ -139,6 +143,10 @@ class TestEvaluatorEquivalence:
             else:
                 assert status == EVAL_VALID
                 assert cost == expected  # bit-exact, not approx
+            names, options = groups[rng.randrange(len(groups))]
+            variants = [{n: o for n in names} for o in options]
+            got = evaluator.price_batch(dict(assignment), variants)
+            assert got == oracle.price_batch(dict(assignment), variants)
 
     def test_full_graph_multi_group_jumps_match(self, t5_nodes, mesh):
         """Arbitrary multi-group jumps over the whole graph also match."""
@@ -216,6 +224,42 @@ class TestSearchEquivalence:
         cm = CostModel(mesh)
         assert cm.plan_cost(eng.routed) == eng.cost
         assert cm.plan_cost(eng.routed) == cm.plan_cost(ref.routed)
+
+
+class TestCoordinateDescent:
+    @pytest.mark.parametrize("preset", ["t5_large", "clip_base"])
+    def test_descent_agrees_across_evaluators(self, preset):
+        """The uncovered-node descent derive_plan runs gives the same
+        record on the oracle evaluator and the columnar one."""
+        mesh = paper_testbed(2, 8)
+        ng = nodes_for(build_preset(preset))
+        result = derive_plan(ng, mesh, tp_degrees=[8])
+        uncovered = result.prune.uncovered
+        block = ng.subgraph(uncovered, name="uncovered")
+        # the family winners, broadcast: the plan minus the descent's moves
+        base = {
+            k: v for k, v in result.plan.as_dict.items()
+            if k not in block
+        }
+        groups = decision_groups(block, DEFAULT_REGISTRY, 8)
+        cm = CostModel(mesh)
+        ref, fast = (
+            coordinate_descent(
+                cls(ng, DEFAULT_REGISTRY, 8, cm), block, groups, base
+            )
+            for cls in (RouteEvaluator, ColumnarEvaluator)
+        )
+
+        def key(r):
+            return (
+                r.tp_degree, r.candidates, r.valid, r.best_assignment,
+                r.best_cost.hex(),
+            )
+
+        assert key(ref) == key(fast)
+        assert key(fast) == key(result.families[-1])
+        assert (ref.rows_priced, fast.rows_priced) == (0, fast.candidates)
+        assert fast.valid > 1
 
 
 class TestCostModelCaches:

@@ -9,7 +9,6 @@ from repro.core import (
     RoutingError,
     ShardingPlan,
     coarsen,
-    is_valid,
     route_plan,
 )
 from repro.models import TransformerConfig, build_t5
@@ -59,10 +58,10 @@ class TestValidPlans:
         assert o.output_layout == Layout.P
 
     def test_ffn_only_valid(self, layer_block):
-        assert is_valid(layer_block, assign(layer_block, FFN_ONLY), DEFAULT_REGISTRY)
+        route_plan(layer_block, assign(layer_block, FFN_ONLY), DEFAULT_REGISTRY)
 
     def test_mha_only_valid(self, layer_block):
-        assert is_valid(layer_block, assign(layer_block, MHA_ONLY), DEFAULT_REGISTRY)
+        route_plan(layer_block, assign(layer_block, MHA_ONLY), DEFAULT_REGISTRY)
 
 
 class TestInvalidPlans:
@@ -82,10 +81,6 @@ class TestInvalidPlans:
         plan = ShardingPlan.of({node.name: "split_diagonal"}, 8)
         with pytest.raises(RoutingError):
             route_plan(layer_block, plan, DEFAULT_REGISTRY)
-
-    def test_is_valid_false_for_invalid(self, layer_block):
-        plan = assign(layer_block, {"ffn/intermediate": "split_row"})
-        assert not is_valid(layer_block, plan, DEFAULT_REGISTRY)
 
 
 class TestLayoutPropagation:

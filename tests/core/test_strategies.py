@@ -28,6 +28,20 @@ def results(layer_block):
 
 
 class TestStrategies:
+    #: (candidates, valid, best_cost.hex()) on the encoder layer at TP 8
+    PINNED = {
+        "exhaustive": (729, 486, "0x1.3fd3e10ce5983p-6"),
+        "greedy": (13, 12, "0x1.878c0f8110869p-6"),
+        "beam": (39, 38, "0x1.3fd3e10ce5983p-6"),
+    }
+
+    def test_outcomes_are_pinned(self, results):
+        got = {
+            name: (r.candidates, r.valid, r.best_cost.hex())
+            for name, r in results.items()
+        }
+        assert got == self.PINNED
+
     def test_unknown_strategy(self, layer_block):
         with pytest.raises(ValueError, match="unknown strategy"):
             search_block(layer_block, paper_testbed(), 8, strategy="oracle")
@@ -74,9 +88,21 @@ class TestStrategies:
             assert r.best_cost < float("inf")
             assert r.seconds > 0
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_block_without_decisions(self, layer_block, strategy):
+        # only the layer norms: one candidate, the all-replicate plan
+        norms = [n.name for n in layer_block if "norm" in n.name]
+        r = search_block(
+            layer_block.subgraph(norms), paper_testbed(), 8,
+            strategy=strategy,
+        )
+        assert (r.candidates, r.valid, r.best_assignment) == (1, 1, {})
+        assert r.best_cost < float("inf")
+
     def test_candidate_cap_respected(self, layer_block):
         r = search_block(
             layer_block, paper_testbed(), 8, strategy="exhaustive",
             max_candidates=50,
         )
-        assert r.candidates == 50
+        # the first 50 candidates in Gray order
+        assert (r.candidates, r.valid) == (50, 32)
